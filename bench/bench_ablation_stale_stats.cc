@@ -37,8 +37,10 @@ int main() {
       ApplyScheme(cfg.switch_config.tm, scheme, {4.0});
       cfg.switch_config.scheme_factory = MakeFactory(scheme);
 
-      sim::Simulator sim(1);
-      net::Network net(&sim);
+      sim::ShardedSimulator::Options opts;
+      opts.lookahead = cfg.link_propagation;
+      sim::ShardedSimulator ssim(opts);
+      net::Network net(&ssim, [](net::NodeId) { return 0; });
       auto topo = net::BuildStar(net, cfg);
 
       int64_t burst_drops = 0;
@@ -65,7 +67,7 @@ int main() {
       workload::OpenLoopSender burst_sender(&net, burst);
       burst_sender.Start();
 
-      sim.RunUntil(Milliseconds(4));
+      ssim.RunUntil(Milliseconds(4));
       const double loss = burst_sender.packets_sent() == 0
                               ? 0.0
                               : static_cast<double>(burst_drops) /

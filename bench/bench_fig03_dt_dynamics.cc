@@ -55,7 +55,7 @@ void RunCase(const char* label, Bandwidth burst_rate) {
   Table table({"t(us)", "q1(KB)", "q2(KB)", "T(KB)"});
   for (Time t = Milliseconds(1) - Microseconds(100); t <= Milliseconds(3);
        t += Microseconds(100)) {
-    s.sim.RunUntil(t);
+    s.ssim.RunUntil(t);
     auto& part = s.sw().partition(0);
     table.AddRow({Table::Fmt("%.0f", ToMicroseconds(t)),
                   Table::Fmt("%.0f", s.sw().QueueLengthBytes(2, 0) / 1000.0),

@@ -12,9 +12,10 @@
 #include <memory>
 
 #include "bench/common/scenarios.h"
+#include "bench/common/sharded_run.h"
 #include "bench/common/table.h"
-#include "src/workload/incast.h"
 #include "src/workload/open_loop.h"
+#include "src/workload/pregen.h"
 
 using namespace occamy;
 using namespace occamy::bench;
@@ -52,10 +53,14 @@ double RunQuery(StarScenario& s, int64_t query_bytes, uint8_t tc, int num_querie
   q.queries_per_second = 120;
   q.start = start;
   q.stop = start + Milliseconds(60);
-  workload::IncastWorkload incast(s.manager.get(), q);
-  incast.Start();
-  s.sim.RunUntil(start + Milliseconds(400));
-  return incast.qct().DurationsMs().Mean();
+  const workload::PregeneratedIncast incast = workload::PregenerateIncast(q);
+  std::vector<uint64_t> flow_ids;
+  for (const auto& params : incast.flows) flow_ids.push_back(s.manager->StartFlow(params));
+  s.ssim.RunUntil(start + Milliseconds(400));
+  s.manager->MergeShardCompletions();
+  return DeriveIncastQct(incast, flow_ids, s.manager->completions(), nullptr)
+      .DurationsMs()
+      .Mean();
 }
 
 void ChokingCase() {

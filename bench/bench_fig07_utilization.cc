@@ -11,7 +11,7 @@
 #include "bench/common/fabric_run.h"
 #include "bench/common/table.h"
 #include "src/workload/flow_size_dist.h"
-#include "src/workload/incast.h"
+#include "src/workload/pregen.h"
 
 using namespace occamy;
 using namespace occamy::bench;
@@ -38,8 +38,9 @@ UtilizationCdfs Run(double alpha, double load) {
   bg.size_dist = workload::WebSearchDistribution();
   bg.stop = duration * 2;
   bg.seed = 23;
-  workload::PoissonFlowGenerator gen(s.manager.get(), bg);
-  gen.Start();
+  for (const auto& params : workload::PregeneratePoissonFlows(bg)) {
+    s.manager->StartFlow(params);
+  }
 
   // A light incast stream provides the drop-triggering bursts as in §3.1.
   workload::IncastConfig q;
@@ -50,10 +51,11 @@ UtilizationCdfs Run(double alpha, double load) {
   q.queries_per_second = 0.01 * s.topo.config.host_rate.bytes_per_sec() *
                          s.topo.num_hosts() / static_cast<double>(q.query_size_bytes);
   q.stop = duration * 2;
-  workload::IncastWorkload incast(s.manager.get(), q);
-  incast.Start();
+  for (const auto& params : workload::PregenerateIncast(q).flows) {
+    s.manager->StartFlow(params);
+  }
 
-  s.sim.RunUntil(duration * 2 + Milliseconds(20));
+  s.ssim.RunUntil(duration * 2 + Milliseconds(20));
 
   UtilizationCdfs out;
   auto collect = [&out](net::SwitchNode& sw) {

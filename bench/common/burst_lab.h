@@ -2,18 +2,16 @@
 // one shared buffer; a long-lived overload to receiver A and a measured
 // burst to receiver B, both open-loop (Pktgen substitute).
 //
-// Two engines run the same scenario:
-//  * shards == 0 — the legacy single-threaded sim::Simulator path.
-//  * shards >= 1 — the intra-switch partition-parallel path
-//    (ShardedStarScenario). The open-loop senders are shard-confined (each
-//    lives on its source host's shard), so they inject live; drop counters
-//    come from the partition's drop hook, which in this 4-host single-
-//    partition lab runs on exactly one shard. Results are byte-identical
-//    for any shards >= 1 (shards=1 is the oracle). Queue-length traces
-//    (sample_every) read cross-shard switch state mid-run and are therefore
-//    a single-threaded-engine feature.
+// The lab runs on intra-switch partition sharding (StarScenario). The
+// open-loop senders are shard-confined (each lives on its source host's
+// shard), so they inject live; drop counters come from the partition's drop
+// hook, which in this 4-host single-partition lab runs on exactly one
+// shard. Queue-length traces (sample_every) are sampled by events on the
+// lane simulator of switch partition 0, which owns every queue they read.
+// Results, traces included, are byte-identical for any shard count.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -34,22 +32,21 @@ struct BurstLabSpec {
   int64_t burst_bytes = 600 * 1000;
   Time burst_start = Microseconds(400);
   Time horizon = Milliseconds(4);
-  // Sampling interval for queue-length traces (0 = no traces). Only the
-  // single-threaded engine supports traces.
+  // Sampling interval for queue-length traces (0 = no traces).
   Time sample_every = 0;
   // The open-loop senders are deterministic, but the seed still reaches the
   // simulator so scheme-internal randomization (if any) is reproducible.
   uint64_t seed = 1;
   // Fault schedule (src/fault grammar); empty = healthy lab. Validated
-  // upstream; armed on both engines before the senders start.
+  // upstream; armed before the senders start.
   std::string faults;
 
-  // 0 = legacy single-threaded engine; >= 1 = intra-switch partition-
-  // parallel engine with that many shards (1 = the single-shard oracle).
-  int shards = 0;
-  // Sharded engine only: worker threads on/off (byte-identical either way).
+  // Engine shards (>= 1): intra-switch partition sharding. Byte-identical
+  // metrics for any value.
+  int shards = 1;
+  // Worker threads on/off (byte-identical either way).
   bool shard_threads = true;
-  // Sharded engine only: windows per plan barrier (0 = adaptive, see
+  // Windows per plan barrier (0 = adaptive, see
   // sim::ShardedSimulator::Options::window_batch). Byte-identical metrics
   // at every setting.
   int window_batch = 0;
@@ -64,14 +61,14 @@ struct BurstLabResult {
   stats::TimeSeries q_burst{"q2"};
   stats::TimeSeries threshold{"T"};
   int64_t sim_events = 0;  // simulator events processed (deterministic)
-  int shards = 0;          // engine: 0 = single-threaded, >= 1 = sharded
-  double parallel_efficiency = 0;  // sharded engine only; wall-clock derived
-  uint64_t windows_run = 0;       // sharded engine: barrier (drain+plan) rounds
-  uint64_t windows_executed = 0;  // sharded engine: conservative windows run
-  uint64_t max_window_batch = 0;  // sharded engine: widest batch planned
+  int shards = 0;          // engine shards the run used
+  double parallel_efficiency = 0;  // wall-clock derived
+  uint64_t windows_run = 0;       // barrier (drain+plan) rounds
+  uint64_t windows_executed = 0;  // conservative windows run
+  uint64_t max_window_batch = 0;  // widest batch planned
   obs::BufferObs obs;              // per-queue delay/drop aggregate (schema v6)
-  uint64_t mailbox_staged = 0;     // cross-shard records staged (sharded engine)
-  uint64_t mailbox_drained = 0;    // cross-shard records drained at barriers
+  uint64_t mailbox_staged = 0;     // mailbox records staged
+  uint64_t mailbox_drained = 0;    // mailbox records drained at barriers
   fault::FaultCounters faults;     // injected-fault counters (schema v7)
 
   double BurstLossRate() const {
@@ -100,10 +97,9 @@ inline constexpr uint64_t kBurstLabLongFlow = 1;
 inline constexpr uint64_t kBurstLabBurstFlow = 2;
 
 // Counts losses of the measured burst and the long-lived flow into
-// `result`. In a sharded run the hook fires on the dropping partition's
-// shard — one shard here (single partition), read after the join.
-template <typename Scenario>
-void InstallBurstLabDropHook(Scenario& s, BurstLabResult& result) {
+// `result`. The hook fires on the dropping partition's shard — one shard
+// here (single partition), read after the join.
+inline void InstallBurstLabDropHook(StarScenario& s, BurstLabResult& result) {
   s.sw().set_drop_hook([&result](const Packet& pkt, tm::DropReason reason) {
     // Expulsions of the long-lived queue are deliberate reclamation; count
     // them separately from congestion losses.
@@ -114,8 +110,8 @@ void InstallBurstLabDropHook(Scenario& s, BurstLabResult& result) {
   });
 }
 
-template <typename Scenario>
-workload::OpenLoopConfig BurstLabLongLivedConfig(const BurstLabSpec& spec, Scenario& s) {
+inline workload::OpenLoopConfig BurstLabLongLivedConfig(const BurstLabSpec& spec,
+                                                        StarScenario& s) {
   workload::OpenLoopConfig lived;
   lived.src = s.topo.hosts[0];
   lived.dst = s.topo.hosts[2];
@@ -125,8 +121,8 @@ workload::OpenLoopConfig BurstLabLongLivedConfig(const BurstLabSpec& spec, Scena
   return lived;
 }
 
-template <typename Scenario>
-workload::OpenLoopConfig BurstLabBurstConfig(const BurstLabSpec& spec, Scenario& s) {
+inline workload::OpenLoopConfig BurstLabBurstConfig(const BurstLabSpec& spec,
+                                                    StarScenario& s) {
   workload::OpenLoopConfig burst;
   burst.src = s.topo.hosts[1];
   burst.dst = s.topo.hosts[3];
@@ -137,14 +133,10 @@ workload::OpenLoopConfig BurstLabBurstConfig(const BurstLabSpec& spec, Scenario&
   return burst;
 }
 
-// ---------------- intra-switch partition-parallel engine ----------------
-
-inline BurstLabResult RunBurstLabSharded(const BurstLabSpec& spec) {
-  OCCAMY_CHECK(spec.shards >= 1);
-  OCCAMY_CHECK(spec.sample_every == 0)
-      << "queue-length traces need the single-threaded engine (shards=0)";
+inline BurstLabResult RunBurstLab(const BurstLabSpec& spec) {
+  OCCAMY_CHECK_GE(spec.shards, 1) << "want 1..64 shards";
   const StarSpec star = MakeBurstLabStarSpec(spec);
-  ShardedStarScenario s(star, spec.shards, spec.shard_threads);
+  StarScenario s(star, spec.shards, spec.shard_threads);
   std::optional<fault::FaultInjector> injector;
   ArmFaultsOrDie(injector, s.net, spec.faults, StarFaultTopology(s.topo));
 
@@ -155,6 +147,25 @@ inline BurstLabResult RunBurstLabSharded(const BurstLabSpec& spec) {
   long_lived.Start();
   workload::OpenLoopSender burst_sender(&s.net, BurstLabBurstConfig(spec, s));
   burst_sender.Start();
+
+  if (spec.sample_every > 0) {
+    // Partition 0 owns ports 2 and 3, so the sampler runs on its lane's
+    // shard and every read is shard-local. Scheduled before the run, each
+    // sample runs ahead of every mailbox arrival of its timestamp at any
+    // shard count or window batch, so the traces are byte-identical too.
+    sim::Simulator& lane = s.net.LaneSim(s.topo.switch_id, 0);
+    std::function<void()> sample = [&s, &lane, &result]() {
+      auto& part = s.sw().partition(0);
+      result.q_long.Record(lane.now(),
+                           static_cast<double>(s.sw().QueueLengthBytes(2, 0)) / 1000.0);
+      result.q_burst.Record(lane.now(),
+                            static_cast<double>(s.sw().QueueLengthBytes(3, 0)) / 1000.0);
+      result.threshold.Record(
+          lane.now(),
+          static_cast<double>(part.ThresholdBytes(part.QueueIndex(2, 0))) / 1000.0);
+    };
+    for (Time t = 0; t <= spec.horizon; t += spec.sample_every) lane.At(t, sample);
+  }
 
   s.ssim.RunUntil(spec.horizon);
   result.burst_packets = burst_sender.packets_sent();
@@ -170,52 +181,6 @@ inline BurstLabResult RunBurstLabSharded(const BurstLabSpec& spec) {
   result.windows_run = s.ssim.windows_run();
   result.windows_executed = s.ssim.windows_executed();
   result.max_window_batch = s.ssim.max_window_batch();
-  if (injector) result.faults = injector->Totals();
-  return result;
-}
-
-// ---------------- single-threaded (legacy) engine ----------------
-
-inline BurstLabResult RunBurstLab(const BurstLabSpec& spec) {
-  if (spec.shards >= 1) return RunBurstLabSharded(spec);
-
-  StarScenario s(MakeBurstLabStarSpec(spec));
-  std::optional<fault::FaultInjector> injector;
-  ArmFaultsOrDie(injector, s.net, spec.faults, StarFaultTopology(s.topo));
-
-  BurstLabResult result;
-  InstallBurstLabDropHook(s, result);
-
-  workload::OpenLoopSender long_lived(&s.net, BurstLabLongLivedConfig(spec, s));
-  long_lived.Start();
-  workload::OpenLoopSender burst_sender(&s.net, BurstLabBurstConfig(spec, s));
-  burst_sender.Start();
-
-  if (spec.sample_every > 0) {
-    std::function<void()> sample = [&s, &result]() {
-      auto& part = s.sw().partition(0);
-      result.q_long.Record(s.sim.now(),
-                           static_cast<double>(s.sw().QueueLengthBytes(2, 0)) / 1000.0);
-      result.q_burst.Record(s.sim.now(),
-                            static_cast<double>(s.sw().QueueLengthBytes(3, 0)) / 1000.0);
-      result.threshold.Record(
-          s.sim.now(),
-          static_cast<double>(part.ThresholdBytes(part.QueueIndex(2, 0))) / 1000.0);
-    };
-    for (Time t = 0; t <= spec.horizon; t += spec.sample_every) {
-      s.sim.At(t, sample);
-    }
-  }
-
-  s.sim.RunUntil(spec.horizon);
-  result.burst_packets = burst_sender.packets_sent();
-  for (int p = 0; p < s.sw().num_partitions(); ++p) {
-    if (p == 0) result.expelled = s.sw().partition(p).stats().expelled_packets;
-    s.sw().partition(p).AccumulateObs(result.obs);
-  }
-  result.mailbox_staged = s.net.mailbox_staged();
-  result.mailbox_drained = s.net.mailbox_drained();
-  result.sim_events = static_cast<int64_t>(s.sim.processed_events());
   if (injector) result.faults = injector->Totals();
   return result;
 }

@@ -2,17 +2,12 @@
 // 8 hosts x 10G around one 410KB shared-buffer switch, DCTCP query (incast)
 // traffic plus a configurable background, reporting QCT / FCT statistics.
 //
-// Two engines run the same scenario:
-//  * shards == 0 — the legacy single-threaded sim::Simulator path, with
-//    live workload generators (unchanged semantics, the testbed oracle).
-//  * shards >= 1 — the intra-switch partition-parallel path
-//    (ShardedStarScenario): the switch is sharded along its TmPartitions,
-//    hosts ride on their egress partition's shard, Poisson/incast arrivals
-//    are pre-generated, the saturating-LP streams inject live (open loop is
-//    shard-confined), and QCT is derived from the canonically merged
-//    completion records. Results are byte-identical for any shards >= 1;
-//    they are *not* required to match the legacy path bit for bit (flow ids
-//    are assigned in pre-generation order rather than arrival-interleaved).
+// The run uses intra-switch partition sharding (StarScenario): the switch
+// is sharded along its TmPartitions, hosts ride on their egress
+// partition's shard, Poisson/incast arrivals are pre-generated, the
+// saturating-LP streams inject live (open loop is shard-confined), and QCT
+// is derived from the canonically merged completion records. Results are
+// byte-identical for any shard count.
 #pragma once
 
 #include <algorithm>
@@ -62,20 +57,19 @@ struct DpdkRunSpec {
   int min_queries = 60;
   uint64_t seed = 1;
   // Fault schedule (src/fault grammar); empty = healthy fabric. Parsed and
-  // validated upstream; armed on both engines before any workload starts.
+  // validated upstream; armed before any workload starts.
   std::string faults;
   // Explicit scale so parallel runs in one process never race on the
   // OCCAMY_BENCH_SCALE environment variable; nullopt falls back to the env.
   std::optional<BenchScale> scale;
 
-  // 0 = legacy single-threaded engine; >= 1 = intra-switch partition-
-  // parallel engine with that many shards (1 is the deterministic
-  // single-shard oracle).
-  int shards = 0;
-  // Sharded engine only: run shards on worker threads (off = same windowed
-  // algorithm inline; byte-identical either way — a determinism test knob).
+  // Engine shards (>= 1): intra-switch partition sharding. Byte-identical
+  // metrics for any value.
+  int shards = 1;
+  // Run shards on worker threads (off = same windowed algorithm inline;
+  // byte-identical either way — a determinism test knob).
   bool shard_threads = true;
-  // Sharded engine only: windows per plan barrier (0 = adaptive, see
+  // Windows per plan barrier (0 = adaptive, see
   // sim::ShardedSimulator::Options::window_batch). Byte-identical metrics
   // at every setting.
   int window_batch = 0;
@@ -98,18 +92,16 @@ struct DpdkRunResult {
   double duration_ms = 0;  // traffic window (excludes the drain tail)
   double drain_ms = 0;     // drain tail simulated after the traffic window
   int64_t sim_events = 0;  // simulator events processed (deterministic)
-  int shards = 0;          // engine: 0 = single-threaded, >= 1 = sharded
-  double parallel_efficiency = 0;  // sharded engine only; wall-clock derived
-  uint64_t windows_run = 0;       // sharded engine: barrier (drain+plan) rounds
-  uint64_t windows_executed = 0;  // sharded engine: conservative windows run
-  uint64_t max_window_batch = 0;  // sharded engine: widest batch planned
+  int shards = 0;          // engine shards the run used
+  double parallel_efficiency = 0;  // wall-clock derived
+  uint64_t windows_run = 0;       // barrier (drain+plan) rounds
+  uint64_t windows_executed = 0;  // conservative windows run
+  uint64_t max_window_batch = 0;  // widest batch planned
   obs::BufferObs obs;              // per-queue delay/drop aggregate (schema v6)
-  uint64_t mailbox_staged = 0;     // cross-shard records staged (sharded engine)
-  uint64_t mailbox_drained = 0;    // cross-shard records drained at barriers
+  uint64_t mailbox_staged = 0;     // mailbox records staged
+  uint64_t mailbox_drained = 0;    // mailbox records drained at barriers
   fault::FaultCounters faults;     // injected-fault counters (schema v7)
 };
-
-// ---------------- config shared by both engines ----------------
 
 inline StarSpec MakeDpdkStarSpec(const DpdkRunSpec& run) {
   StarSpec star;
@@ -210,11 +202,11 @@ inline workload::IncastConfig MakeDpdkQueryConfig(
   return q;
 }
 
-// RTO tails drained after the traffic window, both engines.
+// RTO tails drained after the traffic window.
 inline Time DpdkDrain() { return Milliseconds(300); }
 
 // Drop / expulsion / occupancy counters over the switch: all integer
-// sums/maxima, read after the run; identical between engines.
+// sums/maxima, read after the run.
 template <typename Scenario>
 void FillDpdkSwitchStats(Scenario& s, DpdkRunResult& result) {
   result.drops = s.sw().TotalDrops();
@@ -229,8 +221,8 @@ void FillDpdkSwitchStats(Scenario& s, DpdkRunResult& result) {
   result.mailbox_drained = s.net.mailbox_drained();
 }
 
-// QCT / FCT / volume metrics shared by both engines. `bg_filter` selects
-// the background flows among the completion records.
+// QCT / FCT / volume metrics. `bg_filter` selects the background flows
+// among the completion records.
 inline void FillDpdkCompletionMetrics(
     DpdkRunResult& result, const stats::CompletionCollector& qct,
     const stats::CompletionCollector& flows, bool have_bg,
@@ -255,13 +247,11 @@ inline void FillDpdkCompletionMetrics(
   }
 }
 
-// ---------------- intra-switch partition-parallel engine ----------------
-
-inline DpdkRunResult RunDpdkSharded(const DpdkRunSpec& run) {
-  OCCAMY_CHECK(run.shards >= 1);
+inline DpdkRunResult RunDpdk(const DpdkRunSpec& run) {
+  OCCAMY_CHECK_GE(run.shards, 1) << "want 1..64 shards";
   const BenchScale scale = run.scale.value_or(GetBenchScale());
   const StarSpec star = MakeDpdkStarSpec(run);
-  ShardedStarScenario s(star, run.shards, run.shard_threads);
+  StarScenario s(star, run.shards, run.shard_threads);
   const Time duration = DpdkDuration(run, star, scale);
   std::optional<fault::FaultInjector> injector;
   ArmFaultsOrDie(injector, s.net, run.faults, StarFaultTopology(s.topo));
@@ -316,60 +306,6 @@ inline DpdkRunResult RunDpdkSharded(const DpdkRunSpec& run) {
   result.windows_run = s.ssim.windows_run();
   result.windows_executed = s.ssim.windows_executed();
   result.max_window_batch = s.ssim.max_window_batch();
-  if (injector) result.faults = injector->Totals();
-  return result;
-}
-
-// ---------------- single-threaded (legacy) engine ----------------
-
-inline DpdkRunResult RunDpdk(const DpdkRunSpec& run) {
-  if (run.shards >= 1) return RunDpdkSharded(run);
-
-  const BenchScale scale = run.scale.value_or(GetBenchScale());
-  const StarSpec star = MakeDpdkStarSpec(run);
-  StarScenario s(star);
-  const Time duration = DpdkDuration(run, star, scale);
-  std::optional<fault::FaultInjector> injector;
-  ArmFaultsOrDie(injector, s.net, run.faults, StarFaultTopology(s.topo));
-
-  // ---- background ----
-  std::unique_ptr<workload::PoissonFlowGenerator> bg_gen;
-  std::vector<std::unique_ptr<workload::OpenLoopSender>> lp_senders;
-  if (run.bg == DpdkRunSpec::Bg::kWebSearchDctcp ||
-      run.bg == DpdkRunSpec::Bg::kWebSearchCubic) {
-    const workload::PoissonFlowConfig bg =
-        MakeDpdkBgConfig(run, s.topo.hosts, star.host_rate, duration, s.IdealFn());
-    bg_gen = std::make_unique<workload::PoissonFlowGenerator>(s.manager.get(), bg);
-    bg_gen->Start();
-  } else if (run.bg == DpdkRunSpec::Bg::kSaturatingLp) {
-    for (const auto& cfg : MakeDpdkLpConfigs(run, s.topo.hosts, duration)) {
-      lp_senders.push_back(std::make_unique<workload::OpenLoopSender>(&s.net, cfg));
-      lp_senders.back()->Start();
-    }
-  }
-
-  // ---- query traffic ----
-  const workload::IncastConfig q = MakeDpdkQueryConfig(
-      run, s.topo.hosts, star, duration, s.IdealFn(),
-      [&s](net::NodeId, int64_t bytes) { return s.IdealFct(bytes); });
-  workload::IncastWorkload incast(s.manager.get(), q);
-  incast.Start();
-
-  s.sim.RunUntil(duration + DpdkDrain());
-
-  DpdkRunResult result;
-  const auto bg_filter = [&](const stats::CompletionRecord& r) {
-    return bg_gen != nullptr && bg_gen->Owns(r.id);
-  };
-  FillDpdkCompletionMetrics(result, incast.qct(), s.manager->completions(),
-                            bg_gen != nullptr, bg_filter);
-  result.queries = incast.queries_completed();
-  result.rtos = s.manager->counters().rtos;
-  FillDpdkSwitchStats(s, result);
-  result.buffer_bytes = run.buffer_bytes;
-  result.duration_ms = ToMilliseconds(duration);
-  result.drain_ms = ToMilliseconds(DpdkDrain());
-  result.sim_events = static_cast<int64_t>(s.sim.processed_events());
   if (injector) result.faults = injector->Totals();
   return result;
 }

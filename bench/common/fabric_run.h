@@ -2,16 +2,10 @@
 // leaf-spine fabric + background traffic (web-search / all-to-all /
 // all-reduce) + incast query traffic, reporting QCT/FCT slowdowns.
 //
-// Two engines run the same scenario:
-//  * shards == 0 — the legacy single-threaded sim::Simulator path, with
-//    live workload generators (unchanged semantics, the testbed oracle).
-//  * shards >= 1 — the partition-parallel sim::ShardedSimulator path:
-//    workload arrivals are pre-generated, every flow start is bound to its
-//    source host's shard, and QCT/FCT metrics are derived from completion
-//    records merged in canonical order. Results are byte-identical for any
-//    shards value >= 1 (see src/sim/sharded_simulator.h); they are *not*
-//    required to match the legacy path bit for bit (flow ids are assigned
-//    in pre-generation order rather than arrival-interleaved order).
+// Workload arrivals are pre-generated, every flow start is bound to its
+// source host's shard, and QCT/FCT metrics are derived from completion
+// records merged in canonical order. Results are byte-identical for any
+// shard count (see src/sim/sharded_simulator.h).
 #pragma once
 
 #include <algorithm>
@@ -47,19 +41,19 @@ struct FabricRunSpec {
   Time drain = Milliseconds(40);
   uint64_t seed = 1;
   // Fault schedule (src/fault grammar); empty = healthy fabric. Parsed and
-  // validated upstream; armed on both engines before any workload starts.
+  // validated upstream; armed before any workload starts.
   std::string faults;
   // Explicit scale so parallel runs in one process never race on the
   // OCCAMY_BENCH_SCALE environment variable; nullopt falls back to the env.
   std::optional<BenchScale> scale;
 
-  // 0 = legacy single-threaded engine; >= 1 = partition-parallel engine
-  // with that many shards (1 is the deterministic single-shard oracle).
-  int shards = 0;
-  // Sharded engine only: run shards on worker threads (off = same windowed
-  // algorithm inline; byte-identical either way — a determinism test knob).
+  // Engine shards (>= 1): node-affinity sharding. Byte-identical metrics
+  // for any value.
+  int shards = 1;
+  // Run shards on worker threads (off = same windowed algorithm inline;
+  // byte-identical either way — a determinism test knob).
   bool shard_threads = true;
-  // Sharded engine only: windows per plan barrier (0 = adaptive, see
+  // Windows per plan barrier (0 = adaptive, see
   // sim::ShardedSimulator::Options::window_batch). Byte-identical metrics
   // at every setting.
   int window_batch = 0;
@@ -84,14 +78,14 @@ struct FabricRunResult {
   double duration_ms = 0;    // traffic window (excludes the drain tail)
   double drain_ms = 0;       // drain tail simulated after the traffic window
   int64_t sim_events = 0;    // simulator events processed (deterministic)
-  int shards = 0;            // engine: 0 = single-threaded, >= 1 = sharded
-  double parallel_efficiency = 0;  // sharded engine only; wall-clock derived
-  uint64_t windows_run = 0;       // sharded engine: barrier (drain+plan) rounds
-  uint64_t windows_executed = 0;  // sharded engine: conservative windows run
-  uint64_t max_window_batch = 0;  // sharded engine: widest batch planned
+  int shards = 0;            // engine shards the run used
+  double parallel_efficiency = 0;  // wall-clock derived
+  uint64_t windows_run = 0;       // barrier (drain+plan) rounds
+  uint64_t windows_executed = 0;  // conservative windows run
+  uint64_t max_window_batch = 0;  // widest batch planned
   obs::BufferObs obs;              // per-queue delay/drop aggregate (schema v6)
-  uint64_t mailbox_staged = 0;     // cross-shard records staged (sharded engine)
-  uint64_t mailbox_drained = 0;    // cross-shard records drained at barriers
+  uint64_t mailbox_staged = 0;     // mailbox records staged
+  uint64_t mailbox_drained = 0;    // mailbox records drained at barriers
   fault::FaultCounters faults;     // injected-fault counters (schema v7)
 };
 
@@ -104,7 +98,7 @@ inline Time DefaultFabricDuration(BenchScale scale) {
   return Milliseconds(20);
 }
 
-// Background traffic config shared by both engines.
+// Background traffic config.
 inline workload::PoissonFlowConfig MakeFabricBgConfig(
     const FabricRunSpec& run, const std::vector<net::NodeId>& hosts,
     Bandwidth host_rate, Time duration, workload::IdealFn ideal_fn) {
@@ -118,7 +112,8 @@ inline workload::PoissonFlowConfig MakeFabricBgConfig(
       break;
     case BgPattern::kAllToAll:
       // A zero flow size makes the Poisson arrival rate unbounded (the
-      // generator spins forever emitting empty flows); fail loudly instead.
+      // pre-generator spins forever emitting empty flows); fail loudly
+      // instead.
       OCCAMY_CHECK(run.bg_fixed_size > 0) << "all-to-all needs bg_fixed_size > 0";
       bg = workload::MakeAllToAllConfig(hosts, run.bg_load, host_rate,
                                         run.bg_fixed_size, 0, duration, run.seed + 17);
@@ -136,7 +131,7 @@ inline workload::PoissonFlowConfig MakeFabricBgConfig(
   return bg;
 }
 
-// Incast query config shared by both engines.
+// Incast query config.
 inline workload::IncastConfig MakeFabricQueryConfig(
     const FabricRunSpec& run, const std::vector<net::NodeId>& hosts, int n_hosts,
     Bandwidth host_rate, int64_t buffer_per_partition, Time duration,
@@ -158,8 +153,8 @@ inline workload::IncastConfig MakeFabricQueryConfig(
   return q;
 }
 
-// Drop / expulsion / peak-occupancy counters over every switch. Identical
-// between engines: all integer maxima/sums, read after the run.
+// Drop / expulsion / peak-occupancy counters over every switch: all integer
+// maxima/sums, read after the run.
 template <typename Scenario>
 void CollectFabricSwitchStats(Scenario& s, FabricRunResult& result) {
   for (auto& sw_id : s.topo.leaves) {
@@ -187,10 +182,9 @@ void CollectFabricSwitchStats(Scenario& s, FabricRunResult& result) {
   result.mailbox_drained = s.net.mailbox_drained();
 }
 
-// QCT / FCT / volume metrics shared by both engines, so the two runners
-// can never drift in metric definitions. `qct` holds one record per
-// completed query; `flows` is the flow-completion collector; `bg_filter`
-// selects background flow records.
+// QCT / FCT / volume metrics. `qct` holds one record per completed query;
+// `flows` is the flow-completion collector; `bg_filter` selects background
+// flow records.
 inline void FillFabricCompletionMetrics(
     FabricRunResult& result, const stats::CompletionCollector& qct,
     const stats::CompletionCollector& flows,
@@ -222,10 +216,8 @@ inline void FillFabricCompletionMetrics(
   }
 }
 
-// ---------------- partition-parallel engine ----------------
-
-inline FabricRunResult RunFabricSharded(const FabricRunSpec& run) {
-  OCCAMY_CHECK(run.shards >= 1);
+inline FabricRunResult RunFabric(const FabricRunSpec& run) {
+  OCCAMY_CHECK_GE(run.shards, 1) << "want 1..64 shards";
   const BenchScale scale = run.scale.value_or(GetBenchScale());
   FabricSpec spec;
   spec.scheme = run.scheme;
@@ -233,7 +225,7 @@ inline FabricRunResult RunFabricSharded(const FabricRunSpec& run) {
   spec.buffer_per_port_per_gbps = run.buffer_per_port_per_gbps;
   spec.seed = run.seed;
   spec.window_batch = run.window_batch;
-  ShardedFabricScenario s(spec, scale, run.shards, run.shard_threads);
+  FabricScenario s(spec, scale, run.shards, run.shard_threads);
   std::optional<fault::FaultInjector> injector;
   ArmFaultsOrDie(injector, s.net, run.faults, FabricFaultTopology(s.topo));
 
@@ -283,54 +275,6 @@ inline FabricRunResult RunFabricSharded(const FabricRunSpec& run) {
   result.windows_run = s.ssim.windows_run();
   result.windows_executed = s.ssim.windows_executed();
   result.max_window_batch = s.ssim.max_window_batch();
-  if (injector) result.faults = injector->Totals();
-  return result;
-}
-
-// ---------------- single-threaded (legacy) engine ----------------
-
-inline FabricRunResult RunFabric(const FabricRunSpec& run) {
-  if (run.shards >= 1) return RunFabricSharded(run);
-
-  const BenchScale scale = run.scale.value_or(GetBenchScale());
-  FabricSpec spec;
-  spec.scheme = run.scheme;
-  spec.alphas = run.alphas;
-  spec.buffer_per_port_per_gbps = run.buffer_per_port_per_gbps;
-  spec.seed = run.seed;
-  FabricScenario s(spec, scale);
-  std::optional<fault::FaultInjector> injector;
-  ArmFaultsOrDie(injector, s.net, run.faults, FabricFaultTopology(s.topo));
-
-  const Time duration = run.duration > 0 ? run.duration : DefaultFabricDuration(scale);
-  const Bandwidth host_rate = s.topo.config.host_rate;
-  const int n_hosts = s.topo.num_hosts();
-
-  // Background traffic.
-  workload::PoissonFlowConfig bg =
-      MakeFabricBgConfig(run, s.topo.hosts, host_rate, duration, s.IdealFn());
-  workload::PoissonFlowGenerator bg_gen(s.manager.get(), bg);
-  bg_gen.Start();
-
-  // Query (incast) traffic.
-  workload::IncastConfig q =
-      MakeFabricQueryConfig(run, s.topo.hosts, n_hosts, host_rate,
-                            s.buffer_per_partition, duration, s.IdealFn(),
-                            s.QueryIdealFn());
-  workload::IncastWorkload incast(s.manager.get(), q);
-  incast.Start();
-
-  s.sim.RunUntil(duration + run.drain);
-
-  FabricRunResult result;
-  FillFabricCompletionMetrics(
-      result, incast.qct(), s.manager->completions(),
-      [&bg_gen](const stats::CompletionRecord& r) { return bg_gen.Owns(r.id); });
-  CollectFabricSwitchStats(s, result);
-  result.buffer_bytes = s.buffer_per_partition;
-  result.duration_ms = ToMilliseconds(duration);
-  result.drain_ms = ToMilliseconds(run.drain);
-  result.sim_events = static_cast<int64_t>(s.sim.processed_events());
   if (injector) result.faults = injector->Totals();
   return result;
 }

@@ -54,7 +54,7 @@ struct StarSpec {
   Scheme scheme = Scheme::kDt;
   std::vector<double> alphas;  // per class; empty = scheme default
   uint64_t seed = 1;
-  // Sharded engine only: windows per plan barrier (0 = adaptive, see
+  // Windows per plan barrier (0 = adaptive, see
   // sim::ShardedSimulator::Options::window_batch). Byte-identical metrics
   // at every setting.
   int window_batch = 0;
@@ -62,7 +62,7 @@ struct StarSpec {
   // testbeds' single shared-memory domain, `buffer_bytes` total). A smaller
   // value splits the switch Tomahawk-style into num_hosts/ports_per_partition
   // partitions of `buffer_bytes` each — which is also the shard boundary of
-  // the intra-switch-parallel engine (ShardedStarScenario).
+  // intra-switch sharding (StarScenario).
   int ports_per_partition = 0;
 };
 
@@ -84,54 +84,24 @@ inline net::StarConfig MakeStarConfig(const StarSpec& spec) {
 }
 
 // Ideal duration of a `bytes` transfer on the unloaded star (base RTT is
-// two host<->switch round trips). Shared by the single-threaded and sharded
-// star scenarios so slowdown denominators can never diverge between engines.
+// two host<->switch round trips).
 inline Time StarIdealFct(const StarSpec& spec, int64_t bytes) {
   const int64_t segments = (bytes + kDefaultMss - 1) / kDefaultMss;
   return 4 * spec.link_propagation +
          spec.host_rate.TxTime(bytes + segments * kHeaderBytes);
 }
 
-struct StarScenario {
-  explicit StarScenario(const StarSpec& spec)
-      : spec_(spec), sim(spec.seed), net(&sim) {
-    topo = net::BuildStar(net, MakeStarConfig(spec));
-    manager = std::make_unique<transport::FlowManager>(&net);
-    for (auto h : topo.hosts) manager->AttachHost(h);
-    host_rate = spec.host_rate;
-    base_rtt = 4 * spec.link_propagation;
-  }
-
-  // Ideal duration of a `bytes` transfer on the unloaded star.
-  Time IdealFct(int64_t bytes) const { return StarIdealFct(spec_, bytes); }
-
-  workload::IdealFn IdealFn() const {
-    return [this](net::NodeId, net::NodeId, int64_t bytes) { return IdealFct(bytes); };
-  }
-
-  net::SwitchNode& sw() { return topo.sw(net); }
-
-  StarSpec spec_;
-  sim::Simulator sim;
-  net::Network net;
-  net::StarTopology topo;
-  std::unique_ptr<transport::FlowManager> manager;
-  Bandwidth host_rate;
-  Time base_rtt = 0;
-};
-
-// The same star testbed on the partition-parallel engine: the switch is
-// sharded *internally* along its TmPartitions (each partition and the hosts
-// whose egress ports it owns form one lane, net::StarShardOf /
+// The star testbed on the partition-parallel engine: the switch is sharded
+// *internally* along its TmPartitions (each partition and the hosts whose
+// egress ports it owns form one lane, net::StarShardOf /
 // net::StarLaneShardOf), the conservative lookahead is the star's uniform
-// link propagation, and — as for the sharded fabric — all workload arrivals
-// must be pre-generated (src/workload/pregen.h) before RunUntil. With the
-// testbeds' single shared buffer every lane lands on shard 0 and extra
-// shards idle at the barriers; splitting the switch (ports_per_partition)
-// is what buys parallel speedup. Metrics are byte-identical for any shard
-// count either way (shards=1 is the single-threaded oracle).
-struct ShardedStarScenario {
-  ShardedStarScenario(const StarSpec& spec, int shards, bool use_threads = true)
+// link propagation, and all workload arrivals must be pre-generated
+// (src/workload/pregen.h) before RunUntil. With the testbeds' single shared
+// buffer every lane lands on shard 0 and extra shards idle at the barriers;
+// splitting the switch (ports_per_partition) is what buys parallel speedup.
+// Metrics are byte-identical for any shard count either way.
+struct StarScenario {
+  explicit StarScenario(const StarSpec& spec, int shards = 1, bool use_threads = true)
       : spec_(spec),
         cfg(MakeStarConfig(spec)),
         ssim(MakeOptions(spec, shards, use_threads)),
@@ -185,14 +155,14 @@ struct FabricSpec {
   double buffer_per_port_per_gbps = 5120.0;
   double ecn_bdp_fraction = 0.72;  // paper: ECN = 0.72 BDP
   uint64_t seed = 1;
-  // Sharded engine only: windows per plan barrier (0 = adaptive, see
+  // Windows per plan barrier (0 = adaptive, see
   // sim::ShardedSimulator::Options::window_batch).
   int window_batch = 0;
 };
 
 // Builds the leaf-spine config (scale geometry, buffer density, ECN, BM
-// scheme) shared by the single-threaded and sharded fabric scenarios.
-// `buffer_per_partition` receives the derived per-partition buffer size.
+// scheme). `buffer_per_partition` receives the derived per-partition buffer
+// size.
 inline net::LeafSpineConfig MakeFabricLeafSpineConfig(const FabricSpec& spec,
                                                       BenchScale scale,
                                                       int64_t& buffer_per_partition) {
@@ -234,9 +204,7 @@ inline net::LeafSpineConfig MakeFabricLeafSpineConfig(const FabricSpec& spec,
   return cfg;
 }
 
-// Ideal (unloaded-network) transfer models for the leaf-spine fabric,
-// shared by the single-threaded and sharded scenarios so the slowdown
-// denominators can never diverge between engines.
+// Ideal (unloaded-network) transfer models for the leaf-spine fabric.
 inline int FabricHostIndexOf(const net::LeafSpineTopology& topo, net::NodeId id) {
   for (size_t i = 0; i < topo.hosts.size(); ++i) {
     if (topo.hosts[i] == id) return static_cast<int>(i);
@@ -257,46 +225,15 @@ inline Time FabricQueryIdealFct(const net::LeafSpineTopology& topo, int64_t byte
   return Microseconds(80) + topo.config.host_rate.TxTime(bytes + segments * kHeaderBytes);
 }
 
+// The leaf-spine fabric on the partition-parallel engine: each leaf and its
+// hosts are pinned to one shard (net::LeafSpineShardOf), the lookahead is
+// the fabric's uniform link propagation, and all workload arrivals are
+// pre-generated (src/workload/pregen.h) so no workload object mutates
+// shared state while shards run. See bench/common/fabric_run.h for the
+// runner.
 struct FabricScenario {
-  explicit FabricScenario(const FabricSpec& spec, BenchScale scale = GetBenchScale())
-      : sim(spec.seed), net(&sim) {
-    net::LeafSpineConfig cfg = MakeFabricLeafSpineConfig(spec, scale, buffer_per_partition);
-    topo = net::BuildLeafSpine(net, cfg);
-    manager = std::make_unique<transport::FlowManager>(&net);
-    for (auto h : topo.hosts) manager->AttachHost(h);
-  }
-
-  int HostIndexOf(net::NodeId id) const { return FabricHostIndexOf(topo, id); }
-
-  Time IdealFct(net::NodeId src, net::NodeId dst, int64_t bytes) const {
-    return FabricIdealFct(topo, src, dst, bytes);
-  }
-
-  workload::IdealFn IdealFn() {
-    return [this](net::NodeId s, net::NodeId d, int64_t b) {
-      return FabricIdealFct(topo, s, d, b);
-    };
-  }
-
-  std::function<Time(net::NodeId, int64_t)> QueryIdealFn() {
-    return [this](net::NodeId, int64_t bytes) { return FabricQueryIdealFct(topo, bytes); };
-  }
-
-  sim::Simulator sim;
-  net::Network net;
-  net::LeafSpineTopology topo;
-  std::unique_ptr<transport::FlowManager> manager;
-  int64_t buffer_per_partition = 0;
-};
-
-// The same leaf-spine fabric on the partition-parallel engine: each leaf and
-// its hosts are pinned to one shard (net::LeafSpineShardOf), the lookahead
-// is the fabric's uniform link propagation, and all workload arrivals are
-// pre-generated (src/workload/pregen.h) so no live generator mutates shared
-// state while shards run. See bench/common/fabric_run.h for the runner.
-struct ShardedFabricScenario {
-  ShardedFabricScenario(const FabricSpec& spec, BenchScale scale, int shards,
-                        bool use_threads = true)
+  explicit FabricScenario(const FabricSpec& spec, BenchScale scale = GetBenchScale(),
+                          int shards = 1, bool use_threads = true)
       : cfg(MakeFabricLeafSpineConfig(spec, scale, buffer_per_partition)),
         ssim(MakeOptions(cfg, spec, shards, use_threads)),
         net(&ssim, [this, shards](net::NodeId id) {

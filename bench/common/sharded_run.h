@@ -1,10 +1,9 @@
-// Helpers shared by the partition-parallel (sharded-engine) runners.
+// Helpers shared by the star and fabric runners.
 //
-// Sharded runs pre-generate their workloads (src/workload/pregen.h) and
-// derive workload-level statistics from the canonically merged completion
-// records after the run — the live completion-listener machinery is a
-// single-threaded-mode feature. These helpers keep the star and fabric
-// runners from drifting apart in how they do that derivation.
+// Runs pre-generate their workloads (src/workload/pregen.h) and derive
+// workload-level statistics from the canonically merged completion records
+// after the run. These helpers keep the star and fabric runners from
+// drifting apart in how they do that derivation.
 #pragma once
 
 #include <algorithm>
@@ -17,8 +16,7 @@
 namespace occamy::bench {
 
 // Post-run QCT derivation: a query completes when its last member flow
-// does. The live engine counts down a completion listener; here the same
-// statistic falls out of the merged records. `flow_ids[i]` is the flow id
+// does, so the statistic falls out of the merged records. `flow_ids[i]` is the flow id
 // FlowManager assigned to `incast.flows[i]`; `flows` must already be merged
 // into canonical order (FlowManager::MergeShardCompletions). Returns one
 // record per completed query, added in canonical (end, id) order so

@@ -13,8 +13,9 @@
 #include <vector>
 
 #include "bench/common/scenarios.h"
-#include "src/workload/incast.h"
+#include "bench/common/sharded_run.h"
 #include "src/workload/open_loop.h"
+#include "src/workload/pregen.h"
 
 using namespace occamy;
 using namespace occamy::bench;
@@ -59,11 +60,15 @@ double RunOnce(Scheme scheme, bool with_low_priority) {
   q.queries_per_second = 150;
   q.start = Milliseconds(10);
   q.stop = Milliseconds(80);
-  workload::IncastWorkload incast(s.manager.get(), q);
-  incast.Start();
+  const workload::PregeneratedIncast incast = workload::PregenerateIncast(q);
+  std::vector<uint64_t> flow_ids;
+  for (const auto& params : incast.flows) flow_ids.push_back(s.manager->StartFlow(params));
 
-  s.sim.RunUntil(Milliseconds(300));
-  return incast.qct().DurationsMs().Mean();
+  s.ssim.RunUntil(Milliseconds(300));
+  s.manager->MergeShardCompletions();
+  return DeriveIncastQct(incast, flow_ids, s.manager->completions(), nullptr)
+      .DurationsMs()
+      .Mean();
 }
 
 }  // namespace

@@ -4,24 +4,30 @@
 //   $ ./build/examples/quickstart
 //
 // Walks through the core public API:
-//   1. a Simulator + Network,
+//   1. a simulator + Network,
 //   2. a star topology around one switch with a chosen BM scheme,
 //   3. a transport layer (DCTCP) and an incast (partition-aggregate) query,
 //   4. the statistics every experiment in this repo is built on.
 #include <cstdio>
 #include <memory>
+#include <vector>
 
+#include "bench/common/sharded_run.h"
 #include "src/core/occamy_bm.h"
 #include "src/net/topology.h"
 #include "src/transport/flow_manager.h"
-#include "src/workload/incast.h"
+#include "src/workload/pregen.h"
 
 using namespace occamy;
 
 int main() {
-  // 1. The discrete-event simulator that drives everything.
-  sim::Simulator simulator(/*seed=*/42);
-  net::Network network(&simulator);
+  // 1. The discrete-event simulator that drives everything: one shard, with
+  //    a conservative window no longer than the shortest link delay.
+  sim::ShardedSimulator::Options options;
+  options.seed = 42;
+  options.lookahead = Microseconds(2);
+  sim::ShardedSimulator simulator(options);
+  net::Network network(&simulator, [](net::NodeId) { return 0; });
 
   // 2. Eight 10G hosts around one switch with a 410KB shared buffer
   //    (5.12KB/port/Gbps, the Tomahawk ratio) managed by Occamy:
@@ -42,7 +48,8 @@ int main() {
   for (auto host : topo.hosts) flows.AttachHost(host);
 
   // An incast: host 0 asks 7 servers for 50KB each (350KB total - most of
-  // the shared buffer arriving at one 10G port at once).
+  // the shared buffer arriving at one 10G port at once). The query arrivals
+  // are open loop, so the whole schedule is generated before the run.
   workload::IncastConfig incast_cfg;
   incast_cfg.clients = {topo.hosts[0]};
   incast_cfg.servers = {topo.hosts.begin() + 1, topo.hosts.end()};
@@ -51,16 +58,19 @@ int main() {
   incast_cfg.max_queries = 20;
   incast_cfg.queries_per_second = 500;
   incast_cfg.stop = Milliseconds(50);
-  workload::IncastWorkload incast(&flows, incast_cfg);
-  incast.Start();
+  const workload::PregeneratedIncast incast = workload::PregenerateIncast(incast_cfg);
+  std::vector<uint64_t> flow_ids;
+  for (const auto& params : incast.flows) flow_ids.push_back(flows.StartFlow(params));
 
-  // 4. Run and report.
+  // 4. Run and report. A query completes when its last response flow does.
   simulator.RunUntil(Milliseconds(200));
+  flows.MergeShardCompletions();
+  const stats::CompletionCollector queries =
+      bench::DeriveIncastQct(incast, flow_ids, flows.completions(), nullptr);
 
-  const auto qct = incast.qct().DurationsMs();
-  std::printf("queries:       %lld issued, %lld completed\n",
-              static_cast<long long>(incast.queries_issued()),
-              static_cast<long long>(incast.queries_completed()));
+  const auto qct = queries.DurationsMs();
+  std::printf("queries:       %zu issued, %zu completed\n", incast.queries.size(),
+              queries.Count());
   std::printf("QCT:           avg %.3f ms, p99 %.3f ms\n", qct.Mean(), qct.P99());
 
   auto& sw = topo.sw(network);
@@ -77,6 +87,6 @@ int main() {
               static_cast<long long>(flows.counters().fast_retransmits));
   std::printf("sim:           %llu events, %.1f ms simulated\n",
               static_cast<unsigned long long>(simulator.processed_events()),
-              ToMilliseconds(simulator.now()));
+              ToMilliseconds(network.now()));
   return 0;
 }

@@ -100,10 +100,9 @@ void AddCommonFields(Metrics& m, const ScenarioInfo& entry, const PointSpec& spe
   if (spec.loss_rate > 0) m.Set("loss_rate", spec.loss_rate);
 }
 
-// Schema v4/v5: which engine ran the point (0 = single-threaded) and, for
-// sharded runs, the wall-clock-derived worker utilization (volatile like
-// wall_ms; the CSV summary excludes it) plus the adaptive window planner's
-// telemetry. The window fields are deterministic for a given
+// Schema v4/v5: how many engine shards ran the point, the wall-clock-
+// derived worker utilization (volatile like wall_ms; the CSV summary
+// excludes it) and the adaptive window planner's telemetry. The window fields are deterministic for a given
 // --window-batch setting but differ across settings, so — like shards —
 // they are excluded from the golden/differential fingerprint
 // (tests/differential.h VolatileMetricKeys), which is what lets every
@@ -112,13 +111,11 @@ void AddEngineFields(Metrics& m, int shards, double parallel_efficiency,
                      int window_batch, uint64_t windows_run,
                      uint64_t windows_executed, uint64_t max_window_batch) {
   m.Set("shards", int64_t{shards});
-  if (shards >= 1) {
-    m.Set("parallel_efficiency", parallel_efficiency);
-    m.Set("window_batch", int64_t{window_batch});
-    m.Set("windows_run", static_cast<int64_t>(windows_run));
-    m.Set("windows_executed", static_cast<int64_t>(windows_executed));
-    m.Set("max_window_batch", static_cast<int64_t>(max_window_batch));
-  }
+  m.Set("parallel_efficiency", parallel_efficiency);
+  m.Set("window_batch", int64_t{window_batch});
+  m.Set("windows_run", static_cast<int64_t>(windows_run));
+  m.Set("windows_executed", static_cast<int64_t>(windows_executed));
+  m.Set("max_window_batch", static_cast<int64_t>(max_window_batch));
 }
 
 // Perf telemetry appended to every point (schema v3): the deterministic
@@ -459,8 +456,8 @@ PointResult RunPoint(const PointSpec& spec) {
     result.error = "unknown scenario: " + spec.scenario + " (see --list)";
     return result;
   }
-  if (spec.shards < 0 || spec.shards > 64) {
-    result.error = "shards out of range (want 0..64): " + std::to_string(spec.shards);
+  if (spec.shards < 1 || spec.shards > 64) {
+    result.error = "shards out of range (want 1..64): " + std::to_string(spec.shards);
     return result;
   }
   if (spec.window_batch < 0 ||

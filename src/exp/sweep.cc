@@ -66,11 +66,11 @@ std::optional<std::string> ExpandSweep(const SweepSpec& spec,
                     p.spec.duration_ms = spec.duration_ms;
                     p.spec.faults = spec.faults;
                     p.spec.seed = spec.base_seed + static_cast<uint64_t>(si);
-                    // Execution knob, not a sweep dimension: every platform
-                    // has a sharded engine (node-affinity on the fabric,
-                    // intra-switch partition sharding on star/p4), and
-                    // results are byte-identical for any shard count.
-                    if (spec.shards > 0) p.spec.shards = spec.shards;
+                    // Execution knob, not a sweep dimension: node-affinity
+                    // sharding on the fabric, intra-switch partition
+                    // sharding on star/p4, and results are byte-identical
+                    // for any shard count.
+                    p.spec.shards = spec.shards;
                     if (spec.window_batch > 0) {
                       p.spec.window_batch = spec.window_batch;
                     }

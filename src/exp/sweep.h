@@ -44,14 +44,13 @@ struct SweepSpec {
   // the run key. Composes with `loss_rates` (the loss fault is appended).
   std::string faults;
 
-  // Execution knob, not a grid axis (sharded runs are byte-identical to
-  // single-shard runs, so it cannot change any result): every point runs on
-  // the partition-parallel engine with this many shards — node-affinity
-  // sharding on the fabric, intra-switch partition sharding on star/p4.
-  // 0 = single-threaded engine.
-  int shards = 0;
-  // Second execution knob, same contract: windows per plan barrier on the
-  // sharded engine (0 = adaptive, 1 = legacy, N = fixed batch). Metrics
+  // Execution knob, not a grid axis (runs are byte-identical at any shard
+  // count, so it cannot change any result): every point runs with this many
+  // engine shards — node-affinity sharding on the fabric, intra-switch
+  // partition sharding on star/p4.
+  int shards = 1;
+  // Second execution knob, same contract: windows per plan barrier
+  // (0 = adaptive, 1 = one window per barrier, N = fixed batch). Metrics
   // are byte-identical at every setting.
   int window_batch = 0;
 };

@@ -274,9 +274,9 @@ std::optional<std::string> FaultInjector::ArmReroutes() {
   // Every route change is known at Arm time (the plan is static), so each
   // affected switch gets its complete epoch schedule up front. Activation
   // times round *up* to the engine's conservative-window quantum: an epoch
-  // boundary then coincides with a window barrier, so for any --shards>=1
-  // every packet is routed under exactly the same epoch as the
-  // single-threaded oracle.
+  // boundary then coincides with a window barrier, so for any --shards
+  // every packet is routed under exactly the same epoch as the one-shard
+  // oracle.
   struct Delta {
     Time t = 0;
     int port = 0;
@@ -284,9 +284,7 @@ std::optional<std::string> FaultInjector::ArmReroutes() {
   };
   std::map<net::NodeId, std::vector<Delta>> by_switch;
   const Time quantum = net_->route_epoch_quantum();
-  const auto align = [quantum](Time t) {
-    return quantum > 0 ? (t + quantum - 1) / quantum * quantum : t;
-  };
+  const auto align = [quantum](Time t) { return (t + quantum - 1) / quantum * quantum; };
   for (const FaultEvent& ev : plan_.events) {
     if (ev.kind != FaultKind::kLinkDown || !ev.reroute) continue;
     Endpoint a, b;
@@ -358,15 +356,13 @@ std::optional<std::string> FaultInjector::Arm() {
   // schedule around fault boundaries identical at every --window-batch
   // setting rather than patching correctness.
   const Time quantum = net_->route_epoch_quantum();
+  const auto align = [quantum](Time t) { return (t + quantum - 1) / quantum * quantum; };
   for (const FaultEvent& ev : plan_.events) {
     net_->AddDrainFence(ev.at);
-    if (ev.duration > 0) net_->AddDrainFence(ev.at + ev.duration);
-    if (quantum > 0) {
-      const auto align = [quantum](Time t) {
-        return (t + quantum - 1) / quantum * quantum;
-      };
-      net_->AddDrainFence(align(ev.at));
-      if (ev.duration > 0) net_->AddDrainFence(align(ev.at + ev.duration));
+    net_->AddDrainFence(align(ev.at));
+    if (ev.duration > 0) {
+      net_->AddDrainFence(ev.at + ev.duration);
+      net_->AddDrainFence(align(ev.at + ev.duration));
     }
   }
   for (const FaultEvent& ev : plan_.events) {

@@ -17,7 +17,7 @@
 //    — the same order for every shard count.
 //  * Loss/corruption draws are a pure function of (fault seed, sending
 //    node, sending lane, per-lane delivery sequence) through a dedicated
-//    seeded Rng: byte-identical for any --shards >= 1 and never entangled
+//    seeded Rng: byte-identical for any --shards and never entangled
 //    with the workload's random stream.
 //  * Gilbert-Elliott burst loss walks a per-(sender, lane) Good/Bad Markov
 //    chain whose transition draws are pure functions of (fault seed, slot

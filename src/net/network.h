@@ -5,19 +5,16 @@
 // propagation delay and hands the packet to the peer node. This keeps every
 // queueing decision inside the explicit buffer models.
 //
-// Two execution modes share this class:
-//  * Single-threaded (the legacy testbed scenarios): one sim::Simulator,
-//    DeliverAfter schedules the arrival directly.
-//  * Sharded (sim::ShardedSimulator): every node is owned by one shard and
-//    all of its events run on that shard's Simulator. DeliverAfter then
-//    *stages* the arrival in a per-(src-shard, dst-shard) SPSC mailbox; the
-//    engine's window barrier drains each shard's inbound mailboxes and
-//    inserts the arrivals in canonical (deliver_time, src_node, src_lane,
-//    per-(source,lane) seq) order. That order is independent of the
-//    node->shard partition and of thread timing, which is what keeps
-//    sharded runs byte-identical for any shard count. Conservative
-//    correctness requires every link's propagation delay to be >= the
-//    engine's lookahead (checked per delivery).
+// Every network runs on a sim::ShardedSimulator (one shard or many): every
+// node is owned by one shard and all of its events run on that shard's
+// Simulator. DeliverAfter *stages* each arrival in a per-(src-shard,
+// dst-shard) SPSC mailbox; the engine's window barrier drains each shard's
+// inbound mailboxes and inserts the arrivals in canonical (deliver_time,
+// src_node, src_lane, per-(source,lane) seq) order. That order is
+// independent of the node->shard partition and of thread timing, which is
+// what keeps runs byte-identical for any shard count. Conservative
+// correctness requires every link's propagation delay to be >= the
+// engine's lookahead (checked per delivery).
 //
 // Intra-node sharding (single-switch topologies). A node whose internal
 // structure decomposes into independent *lanes* — a shared-memory switch
@@ -80,13 +77,7 @@ class Network {
   // bindings are reproducible for any shard count.
   using LaneShardFn = std::function<int(NodeId, int)>;
 
-  // Single-threaded mode: every node runs on `sim`.
-  explicit Network(sim::Simulator* sim) : sim_(sim) {
-    OCCAMY_CHECK(sim != nullptr);
-    shard_state_.resize(1);
-  }
-
-  // Sharded mode: `shard_of(node_id)` assigns each node (at AddNode time) to
+  // `shard_of(node_id)` assigns each node (at AddNode time) to
   // a shard of `ssim`; the result is clamped into range. The assignment must
   // be a pure function of the node id so that it is reproducible.
   // `lane_shard_of`, when given, assigns the lanes of lane-sharded nodes
@@ -98,7 +89,6 @@ class Network {
         lane_shard_assign_(std::move(lane_shard_of)) {
     OCCAMY_CHECK(ssim != nullptr);
     OCCAMY_CHECK(shard_assign_ != nullptr);
-    sim_ = &ssim_->shard(0);
     const size_t n = static_cast<size_t>(ssim_->num_shards());
     shard_state_.resize(n);
     outboxes_.resize(n * n);
@@ -112,24 +102,20 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  // The control simulator: the sole Simulator in single-threaded mode,
-  // shard 0 in sharded mode. Workloads and setup code use it; node code
-  // should prefer Node::sim() (its owning shard).
-  sim::Simulator& sim() { return *sim_; }
-  Time now() const { return sim_->now(); }
+  // The control simulator: shard 0. Setup code uses it; node code should
+  // prefer Node::sim() (its owning shard).
+  sim::Simulator& sim() { return ssim_->shard(0); }
+  Time now() const { return ssim_->shard(0).now(); }
 
-  bool sharded() const { return ssim_ != nullptr; }
-  // True while a sharded RunUntil is executing on worker threads.
-  bool sharded_run_active() const { return ssim_ != nullptr && ssim_->running(); }
-  int num_shards() const { return ssim_ != nullptr ? ssim_->num_shards() : 1; }
+  // True while RunUntil is executing (shards may be on worker threads).
+  bool sharded_run_active() const { return ssim_->running(); }
+  int num_shards() const { return ssim_->num_shards(); }
   int shard_of(NodeId id) const {
     OCCAMY_CHECK(id < shard_of_.size());
     return shard_of_[id];
   }
   // The simulator that runs node `id`'s (lane 0) events.
-  sim::Simulator& sim_of(NodeId id) {
-    return ssim_ != nullptr ? ssim_->shard(shard_of(id)) : *sim_;
-  }
+  sim::Simulator& sim_of(NodeId id) { return ssim_->shard(shard_of(id)); }
 
   // Declares node `id` as lane-sharded with `lanes` independent lanes and
   // binds each lane to a shard (via the constructor's lane_shard_of, or the
@@ -149,7 +135,7 @@ class Network {
     shards.reserve(static_cast<size_t>(lanes));
     for (int lane = 0; lane < lanes; ++lane) {
       int shard = shard_of(id);
-      if (ssim_ != nullptr && lane_shard_assign_ != nullptr) {
+      if (lane_shard_assign_ != nullptr) {
         shard = std::clamp(lane_shard_assign_(id, lane), 0, ssim_->num_shards() - 1);
       }
       shards.push_back(shard);
@@ -178,20 +164,14 @@ class Network {
 
   // The simulator that runs lane `lane` of node `id` — what a lane-sharded
   // switch builds each TmPartition on and drives its egress machinery with.
-  sim::Simulator& LaneSim(NodeId id, int lane) {
-    return ssim_ != nullptr ? ssim_->shard(lane_shard(id, lane)) : *sim_;
-  }
+  sim::Simulator& LaneSim(NodeId id, int lane) { return ssim_->shard(lane_shard(id, lane)); }
 
   // Takes ownership; assigns and returns the node id.
   NodeId AddNode(std::unique_ptr<Node> node) {
     const NodeId id = static_cast<NodeId>(nodes_.size());
     node->id_ = id;
     node->network_ = this;
-    int shard = 0;
-    if (ssim_ != nullptr) {
-      shard = std::clamp(shard_assign_(id), 0, ssim_->num_shards() - 1);
-    }
-    shard_of_.push_back(shard);
+    shard_of_.push_back(std::clamp(shard_assign_(id), 0, ssim_->num_shards() - 1));
     node->sim_ = &sim_of(id);
     nodes_.push_back(std::move(node));
     return id;
@@ -206,32 +186,11 @@ class Network {
 
   // Schedules arrival of `pkt` at `to` after `delay` (the propagation time;
   // serialization already elapsed at the sender). `from` is the sending
-  // node; in sharded mode it keys the canonical cross-shard merge order and
-  // must be the node whose event is executing. `src_lane` is the sending
+  // node; it keys the canonical cross-shard merge order and must be the
+  // node whose event is executing. `src_lane` is the sending
   // lane of a lane-sharded source (a switch passes the egress partition
   // index); plain nodes send from lane 0.
   void DeliverAfter(NodeId from, Time delay, LinkEnd to, Packet pkt, int src_lane = 0) {
-    if (ssim_ == nullptr) {
-      if (faults_ != nullptr &&
-          faults_->OnDeliver(from, src_lane, to,
-                             node(from).lane_delivery_seq_[0]++, sim_->now(), pkt)) {
-        return;  // dropped on the wire; the injector accounted for it
-      }
-      // Single-threaded: slot 0 directly — no thread-local lookup on the
-      // per-packet hot path.
-      ++shard_state_[0].delivered_events;
-      Node* dst = &node(to.node);
-      const int port = to.port;
-      sim_->After(delay, [this, dst, port, p = std::move(pkt)]() mutable {
-        if (p.corrupted) {
-          // The receiver's FCS check discards the mangled packet.
-          if (faults_ != nullptr) faults_->OnCorruptedArrival();
-          return;
-        }
-        dst->ReceivePacket(port, std::move(p));
-      });
-      return;
-    }
     OCCAMY_CHECK_GE(delay, ssim_->lookahead())
         << "cross-node delay below the conservative lookahead";
     Node& src = node(from);
@@ -278,11 +237,10 @@ class Network {
     return total;
   }
 
-  // Cross-shard mailbox telemetry (schema v6 counter registry). Staged =
-  // records pushed by DeliverAfter in sharded mode (0 on the legacy
-  // engine); drained = records merged back in at window barriers. Both
-  // count simulated deliveries only, so they are byte-identical for any
-  // shard count >= 1. Read after the run.
+  // Mailbox telemetry (schema v6 counter registry). Staged = records
+  // pushed by DeliverAfter; drained = records merged back in at window
+  // barriers. Both count simulated deliveries only, so they are
+  // byte-identical for any shard count. Read after the run.
   uint64_t mailbox_staged() const {
     uint64_t total = 0;
     for (const auto& s : shard_state_) total += s.staged_mail;
@@ -311,29 +269,25 @@ class Network {
   bool fault_injection_active() const { return faults_ != nullptr; }
 
   // Clock of the simulator executing the current event: the owning shard's
-  // in sharded mode (threaded or inline — ShardScope binds it either way),
-  // the sole Simulator otherwise. Lane-sharded nodes use it from arrival
+  // (threaded or inline — ShardScope binds it either way). Lane-sharded nodes use it from arrival
   // paths where the executing lane is not yet known (SwitchNode routes by
   // arrival time before it knows the egress lane); during an event this is
   // exactly the event's time, a pure function of simulated execution.
   Time CurrentSimNow() const {
-    return ssim_ != nullptr ? ssim_->shard(sim::CurrentShard()).now() : sim_->now();
+    return ssim_->shard(sim::CurrentShard()).now();
   }
 
-  // Quantum for fault-driven route-epoch activation times: on the sharded
-  // engine the conservative lookahead (so epoch flips land exactly on
-  // window boundaries and stay byte-identical for any shard count), 0 on
-  // the legacy single-threaded engine (no rounding needed).
-  Time route_epoch_quantum() const { return ssim_ != nullptr ? ssim_->lookahead() : 0; }
+  // Quantum for fault-driven route-epoch activation times: the
+  // conservative lookahead, so epoch flips land exactly on window
+  // boundaries and stay byte-identical for any shard count.
+  Time route_epoch_quantum() const { return ssim_->lookahead(); }
 
-  // Registers a sim-time drain fence with the sharded engine's adaptive
-  // window planner (no-op on the legacy engine): window batches never
-  // cross it, so a mailbox drain is guaranteed at the barrier entering its
-  // window. fault::FaultInjector::Arm fences every armed fault toggle and
-  // quantum-aligned route-epoch boundary.
-  void AddDrainFence(Time t) {
-    if (ssim_ != nullptr) ssim_->AddDrainFence(t);
-  }
+  // Registers a sim-time drain fence with the engine's adaptive window
+  // planner: window batches never cross it, so a mailbox drain is
+  // guaranteed at the barrier entering its window. fault::FaultInjector::Arm
+  // fences every armed fault toggle and quantum-aligned route-epoch
+  // boundary.
+  void AddDrainFence(Time t) { ssim_->AddDrainFence(t); }
 
  private:
   // Shard that must execute the arrival of `pkt` at `to` at time `at`.
@@ -405,7 +359,6 @@ class Network {
     std::vector<Mail> drain_scratch;
   };
 
-  sim::Simulator* sim_ = nullptr;
   sim::ShardedSimulator* ssim_ = nullptr;
   std::function<int(NodeId)> shard_assign_;
   LaneShardFn lane_shard_assign_;

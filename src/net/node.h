@@ -45,9 +45,7 @@ class Node {
   NodeId id() const { return id_; }
   Network* network() const { return network_; }
 
-  // The simulator that runs this node's events: the network's sole
-  // Simulator in single-threaded mode, the owning shard's in sharded mode.
-  // Set by Network::AddNode; all of a node's scheduling must go through it.
+  // The simulator that runs this node's events: its owning shard's. Set by Network::AddNode; all of a node's scheduling must go through it.
   // Lane-sharded nodes (see Network::BindNodeLanes) span several shards and
   // must schedule per-lane work on Network::LaneSim instead.
   sim::Simulator& sim() const { return *sim_; }

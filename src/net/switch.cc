@@ -34,11 +34,11 @@ void SwitchNode::Initialize() {
   OCCAMY_CHECK(network() != nullptr) << "AddNode before Initialize";
   const int num_partitions =
       (config_.num_ports + config_.ports_per_partition - 1) / config_.ports_per_partition;
-  // Partitions are this node's lanes: in a sharded run each binds to one
-  // shard (intra-switch sharding for single-switch topologies; all on the
-  // node's own shard in node-sharded fabrics) and everything the partition
-  // owns is built on that shard's simulator.
-  if (network()->sharded()) network()->BindNodeLanes(id(), num_partitions);
+  // Partitions are this node's lanes: each binds to one shard (intra-switch
+  // sharding for single-switch topologies; all on the node's own shard in
+  // node-sharded fabrics) and everything the partition owns is built on
+  // that shard's simulator.
+  network()->BindNodeLanes(id(), num_partitions);
   port_partition_.resize(static_cast<size_t>(config_.num_ports));
   port_local_.resize(static_cast<size_t>(config_.num_ports));
   lane_state_ = std::vector<LaneState>(static_cast<size_t>(num_partitions));

@@ -6,7 +6,7 @@
 // candidate egress ports. Egress ports run a simple serialize-and-forward
 // machine fed by the partition's scheduler.
 //
-// Shard discipline (sharded runs): partitions are the switch's *lanes* (see
+// Shard discipline: partitions are the switch's *lanes* (see
 // Network::BindNodeLanes). Every partition — its buffer, BM scheme,
 // expulsion engine, schedulers, and the egress machinery of the ports it
 // owns — runs entirely on the lane's shard: arrivals are routed to the

@@ -89,7 +89,6 @@ ProfileReport BuildProfileReport(const std::vector<TraceEvent>& events, int shar
 
   uint64_t min_ts = UINT64_MAX;
   uint64_t max_end = 0;
-  std::vector<ProfileShard> core_fallback(report.shards.size());
   for (const TraceEvent& ev : events) {
     const auto s = static_cast<size_t>(ev.shard);
     if (s >= report.shards.size() || ev.name == nullptr) continue;
@@ -115,21 +114,11 @@ ProfileReport BuildProfileReport(const std::vector<TraceEvent>& events, int shar
     } else if (std::strcmp(ev.name, kSpanRunCore) == 0) {
       const auto batch = ev.arg > 0 ? static_cast<uint64_t>(ev.arg) : 0;
       shard.events += batch;
-      core_fallback[s].busy_ns += ev.dur_ns;
-      ++core_fallback[s].windows;
       // Density bucket: 0 -> [empty], else floor(log2(batch)) + 1.
       size_t bucket = 0;
       for (uint64_t b = batch; b > 0; b >>= 1) ++bucket;
       if (report.density.size() <= bucket) report.density.resize(bucket + 1, 0);
       ++report.density[bucket];
-    }
-  }
-  // A single-threaded (non-sharded) run has run.core spans but no
-  // window.execute wrappers; fall back so utilization still reads.
-  for (size_t s = 0; s < report.shards.size(); ++s) {
-    if (report.shards[s].busy_ns == 0 && report.shards[s].windows == 0) {
-      report.shards[s].busy_ns = core_fallback[s].busy_ns;
-      report.shards[s].windows = core_fallback[s].windows;
     }
   }
 

@@ -1,4 +1,5 @@
-// Conservative-time partition-parallel discrete-event engine.
+// Conservative-time partition-parallel discrete-event engine — the engine
+// every network simulation runs on (one shard by default).
 //
 // A ShardedSimulator runs N shards — each an ordinary single-threaded
 // sim::Simulator with its own EventQueue and Rng — in lockstep over fixed
@@ -68,7 +69,7 @@
 namespace occamy::sim {
 
 // Index of the shard executing on the current thread, or 0 outside any
-// sharded run (so single-threaded code indexes per-shard state at slot 0).
+// run (so setup and teardown code indexes per-shard state at slot 0).
 int CurrentShard();
 
 namespace internal {

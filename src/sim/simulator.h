@@ -2,11 +2,12 @@
 //
 // This replaces the paper's ns-3 / hardware testbeds: components schedule
 // callbacks at absolute or relative simulated times and the simulator runs
-// them in deterministic order. Single-threaded by design: one Simulator is
-// either the whole simulation (the legacy mode every testbed scenario uses)
-// or one shard of a ShardedSimulator (src/sim/sharded_simulator.h), which
-// drives it window-by-window through the same RunUntil interface and never
-// touches it from two threads at once.
+// them in deterministic order. Single-threaded by design: in a network
+// simulation each Simulator is one shard of a ShardedSimulator
+// (src/sim/sharded_simulator.h), which drives it window-by-window through
+// RunUntil and never touches it from two threads at once. Component-level
+// code with no network (a lone TmPartition, the event-queue benches) may
+// drive a bare Simulator directly.
 #pragma once
 
 #include <cstdint>

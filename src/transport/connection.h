@@ -1,7 +1,7 @@
 // One reliable byte-stream flow: sender congestion control + receiver
 // reassembly/ACK generation.
 //
-// Shard discipline (sharded fabric runs): the sender half (everything under
+// Shard discipline: the sender half (everything under
 // "Sender state" plus the RTO timer) is touched only by events at the
 // source host, the receiver half (rcv_*) only by events at the destination
 // host. The two halves are distinct memory locations, so the source and

@@ -20,19 +20,12 @@ void FlowManager::AttachHost(net::NodeId host_id) {
       [this, host_id](const Packet& pkt) { Dispatch(host_id, pkt); });
 }
 
-void FlowManager::AddCompletionListener(CompletionHook hook) {
-  OCCAMY_CHECK(!net_->sharded())
-      << "completion listeners race across shards; sharded runs derive "
-         "workload stats from the merged completion records instead";
-  completion_listeners_.push_back(std::move(hook));
-}
-
 uint64_t FlowManager::StartFlow(FlowParams params) {
-  // Sharded runs pre-generate every flow (src/workload/pregen.h) before
-  // RunUntil: starting one mid-run would mutate the connection map and a
-  // foreign shard's event queue under the workers' feet.
+  // Runs pre-generate every flow (src/workload/pregen.h) before RunUntil:
+  // starting one mid-run would mutate the connection map and a foreign
+  // shard's event queue under the workers' feet.
   OCCAMY_CHECK(!net_->sharded_run_active())
-      << "StartFlow during a sharded run; pre-generate the schedule instead";
+      << "StartFlow during a run; pre-generate the schedule instead";
   if (params.id == 0) params.id = net_->NextFlowId();
   OCCAMY_CHECK(connections_.find(params.id) == connections_.end())
       << "duplicate flow id " << params.id;
@@ -64,9 +57,6 @@ FlowManager::Counters FlowManager::counters() const {
 }
 
 FlowManager::Counters& FlowManager::mutable_counters() {
-  // Single-threaded mode takes slot 0 without the thread-local lookup —
-  // this sits on the per-packet hot path (data/ack/retx counters).
-  if (!net_->sharded()) return shard_state_[0].counters;
   return shard_state_[static_cast<size_t>(sim::CurrentShard())].counters;
 }
 
@@ -96,18 +86,10 @@ void FlowManager::OnConnectionComplete(Connection* conn, Time end_time) {
   rec.ideal = p.ideal_duration;
   rec.traffic_class = p.traffic_class;
   mutable_counters().flows_completed++;
-  if (net_->sharded()) {
-    // Buffer per shard; the connection map stays immutable while shards run
-    // (stale arrivals are benign thanks to the sender/receiver state split)
-    // and the records are merged into canonical order after the run.
-    shard_state_[static_cast<size_t>(sim::CurrentShard())].completions.Add(rec);
-    return;
-  }
-  completions_.Add(rec);
-  for (const auto& listener : completion_listeners_) listener(p, end_time);
-  // Defer destruction: we are inside the connection's own call stack.
-  const uint64_t id = p.id;
-  sim().After(0, [this, id] { connections_.erase(id); });
+  // Buffer per shard; the connection map stays immutable while shards run
+  // (stale arrivals are benign thanks to the sender/receiver state split)
+  // and the records are merged into canonical order after the run.
+  shard_state_[static_cast<size_t>(sim::CurrentShard())].completions.Add(rec);
 }
 
 void FlowManager::MergeShardCompletions() {

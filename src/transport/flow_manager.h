@@ -2,19 +2,15 @@
 //
 // Owns every Connection, installs the receive demultiplexer on each host,
 // and records flow completions (FCT + slowdown) into a CompletionCollector.
-// Workloads subscribe to per-flow completion hooks (e.g. incast queries
-// count down their member flows).
 //
-// Sharded fabric runs: connections are created up front (single-threaded)
-// and the map is read-only while shards execute, counters and completion
-// records go to per-shard slots (selected by sim::CurrentShard()), and the
-// runner merges completions into the canonical (end, id) order afterwards.
-// Completion listeners are a single-threaded-mode feature — sharded runs
-// compute workload statistics from the merged records instead.
+// Connections are created up front (before RunUntil) and the map is
+// read-only while shards execute; counters and completion records go to
+// per-shard slots (selected by sim::CurrentShard()), and the runner merges
+// completions into the canonical (end, id) order afterwards. Workload
+// statistics (e.g. incast QCT) are derived from the merged records.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -42,24 +38,15 @@ class FlowManager {
   // Returns the flow id.
   uint64_t StartFlow(FlowParams params);
 
-  // Invoked on every flow completion, after the record is collected.
-  // Multiple workloads may listen concurrently; each filters by its own ids.
-  // Single-threaded mode only (listeners would race across shards).
-  using CompletionHook = std::function<void(const FlowParams&, Time end_time)>;
-  void AddCompletionListener(CompletionHook hook);
-
-  // Completion records. In single-threaded mode this is live during the
-  // run; in sharded mode call MergeShardCompletions() after the run first.
+  // Completion records; call MergeShardCompletions() after the run first.
   stats::CompletionCollector& completions() { return completions_; }
 
-  // Sharded mode: moves every per-shard completion record into
-  // completions(), sorted by (end, id) — an order independent of the shard
+  // Moves every per-shard completion record into completions(), sorted by (end, id) — an order independent of the shard
   // count, which keeps downstream metrics byte-identical.
   void MergeShardCompletions();
 
   const TransportConfig& config() const { return config_; }
   net::Network& network() { return *net_; }
-  sim::Simulator& sim() { return net_->sim(); }
   net::Host& host(net::NodeId id) { return static_cast<net::Host&>(net_->node(id)); }
 
   // Aggregate transport counters.
@@ -86,8 +73,7 @@ class FlowManager {
   void Dispatch(net::NodeId at_host, const Packet& pkt);
   void OnConnectionComplete(Connection* conn, Time end_time);
 
-  // Per-shard mutable slots, padded against false sharing. Slot 0 doubles
-  // as the single-threaded slot.
+  // Per-shard mutable slots, padded against false sharing.
   struct alignas(64) ShardState {
     Counters counters;
     stats::CompletionCollector completions;
@@ -98,7 +84,6 @@ class FlowManager {
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections_;
   stats::CompletionCollector completions_;
   std::vector<ShardState> shard_state_;
-  std::vector<CompletionHook> completion_listeners_;
 };
 
 }  // namespace occamy::transport

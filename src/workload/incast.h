@@ -1,9 +1,11 @@
-// Incast (partition-aggregate) query workload with QCT measurement.
+// Incast (partition-aggregate) query workload configuration.
 //
 // A client issues a query to `fanin` servers; each server responds with
 // query_size/fanin bytes; the Query Completion Time is measured from query
 // issue until the last response flow finishes (the paper's QCT). Queries
-// arrive as a Poisson process.
+// arrive as a Poisson process. workload::PregenerateIncast (pregen.h)
+// expands a config into its flow schedule; bench::DeriveIncastQct derives
+// QCT from the run's merged completion records.
 //
 // The (tiny) request packets are not simulated: response flows start at the
 // query issue time, which shifts every QCT by a constant ~RTT/2 and does not
@@ -11,12 +13,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <functional>
 #include <vector>
 
-#include "src/stats/completion_stats.h"
-#include "src/transport/flow_manager.h"
 #include "src/workload/poisson_flows.h"
 
 namespace occamy::workload {
@@ -36,45 +35,6 @@ struct IncastConfig {
   // Ideal QCT of a whole query at a client (for slowdown); optional.
   std::function<Time(net::NodeId client, int64_t total_bytes)> query_ideal_fn;
   uint64_t seed = 2;
-};
-
-class IncastWorkload {
- public:
-  IncastWorkload(transport::FlowManager* manager, IncastConfig config);
-
-  void Start();
-
-  // Issues a single query immediately (used by benches that need exactly
-  // one synchronized incast, e.g. burst-absorption sweeps).
-  void IssueQueryNow();
-
-  // Per-query completion records: bytes = query size, duration = QCT.
-  stats::CompletionCollector& qct() { return qct_; }
-
-  int64_t queries_issued() const { return queries_issued_; }
-  int64_t queries_completed() const { return queries_completed_; }
-  bool Owns(uint64_t flow_id) const { return flow_to_query_.count(flow_id) > 0; }
-
- private:
-  void ScheduleNext();
-  void OnFlowComplete(const transport::FlowParams& params, Time end_time);
-
-  struct PendingQuery {
-    uint64_t id = 0;
-    net::NodeId client = 0;
-    Time issue_time = 0;
-    int remaining_flows = 0;
-  };
-
-  transport::FlowManager* manager_;
-  IncastConfig config_;
-  Rng rng_;
-  stats::CompletionCollector qct_;
-  std::unordered_map<uint64_t, PendingQuery> pending_;    // query id -> state
-  std::unordered_map<uint64_t, uint64_t> flow_to_query_;  // flow id -> query id
-  uint64_t next_query_id_ = 1;
-  int64_t queries_issued_ = 0;
-  int64_t queries_completed_ = 0;
 };
 
 }  // namespace occamy::workload

@@ -29,7 +29,7 @@ class OpenLoopSender {
  public:
   // Everything the sender touches — its own counters, the source host's NIC
   // queue, the injection timer chain — lives on the source host's shard, so
-  // open-loop injection is safe in sharded runs without pre-generation (it
+  // open-loop injection is safe at any shard count without pre-generation (it
   // is open loop: nothing outside the source shard feeds back into it).
   OpenLoopSender(net::Network* net, OpenLoopConfig config)
       : net_(net), sim_(&net->sim_of(config.src)), config_(config) {}

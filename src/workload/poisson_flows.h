@@ -1,20 +1,22 @@
-// Poisson open-loop flow generation.
+// Poisson open-loop flow workload configuration.
 //
-// The common engine behind the paper's background workloads: flows arrive as
+// The common model behind the paper's background workloads: flows arrive as
 // a Poisson process at a rate derived from the target load, with sizes drawn
 // from a distribution and endpoints drawn from a pluggable pair sampler
 // (uniform 1-to-1 for web-search background, tree edges for all-reduce).
+// workload::PregeneratePoissonFlows (pregen.h) expands a config into its
+// arrival schedule.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "src/net/network.h"
 #include "src/stats/cdf.h"
-#include "src/transport/flow_manager.h"
+#include "src/transport/flow.h"
+#include "src/util/bandwidth.h"
 #include "src/util/rng.h"
 
 namespace occamy::workload {
@@ -40,40 +42,10 @@ struct PoissonFlowConfig {
 };
 
 // The uniform ordered-pair sampler installed when a config leaves
-// `pair_sampler` unset. Exposed so schedule pre-generation (pregen.h) draws
-// exactly the same stream as the live generator.
+// `pair_sampler` unset.
 PairSampler DefaultPairSampler(std::vector<net::NodeId> hosts);
 
 // Mean flow inter-arrival time implied by `config` (load / mean size math).
 Time MeanInterarrivalOf(const PoissonFlowConfig& config);
-
-class PoissonFlowGenerator {
- public:
-  PoissonFlowGenerator(transport::FlowManager* manager, PoissonFlowConfig config);
-
-  // Schedules the arrival process.
-  void Start();
-
-  int64_t flows_generated() const { return flows_generated_; }
-  int64_t bytes_generated() const { return bytes_generated_; }
-
-  // Flow ids generated by this workload (for filtering completions when
-  // several workloads share one FlowManager).
-  bool Owns(uint64_t flow_id) const { return ids_.count(flow_id) > 0; }
-
-  // Mean flow inter-arrival time implied by the configuration.
-  Time MeanInterarrival() const;
-
- private:
-  void ScheduleNext();
-  void LaunchFlow();
-
-  transport::FlowManager* manager_;
-  PoissonFlowConfig config_;
-  Rng rng_;
-  int64_t flows_generated_ = 0;
-  int64_t bytes_generated_ = 0;
-  std::unordered_set<uint64_t> ids_;
-};
 
 }  // namespace occamy::workload

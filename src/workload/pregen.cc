@@ -16,8 +16,8 @@ std::vector<transport::FlowParams> PregeneratePoissonFlows(PoissonFlowConfig con
   std::vector<transport::FlowParams> out;
   Rng rng(config.seed);
   Time t = std::max<Time>(config.start, 0);
-  // Mirrors the live generator's event chain: LaunchFlow (pair draw, then
-  // size draw) followed by ScheduleNext (gap draw), until `stop`.
+  // Per arrival: pair draw, then size draw, then the gap to the next
+  // arrival, until `stop`.
   for (;;) {
     const auto [src, dst] = config.pair_sampler(rng);
     OCCAMY_CHECK(src != dst);
@@ -52,8 +52,8 @@ PregeneratedIncast PregenerateIncast(const IncastConfig& config) {
   Rng rng(config.seed);
   Time t = std::max<Time>(config.start, 0);
   uint64_t next_query_id = 1;
-  // Mirrors IncastWorkload: IssueQueryNow (client draw, fanin partial
-  // shuffle), then ScheduleNext (gap draw, max_queries / stop cutoffs).
+  // Per query: client draw, fanin partial shuffle, then the gap to the next
+  // query (with the max_queries / stop cutoffs).
   for (;;) {
     const net::NodeId client = config.clients[rng.UniformInt(config.clients.size())];
 

@@ -1,4 +1,4 @@
-// Pre-generated workload schedules for the sharded fabric engine.
+// Pre-generated workload schedules.
 //
 // The Poisson background and incast query arrival processes are open loop:
 // every arrival time, endpoint pair, and size is a function of the workload
@@ -7,12 +7,12 @@
 // execution needs: every flow start can be bound to its source host's shard
 // before the run, so no workload object mutates shared state while shards
 // execute concurrently. Query completion times (QCT) are then derived after
-// the run from the merged flow-completion records (see bench/common/
-// fabric_run.h), replacing the live completion-listener countdown.
+// the run from the merged flow-completion records (bench::DeriveIncastQct
+// in bench/common/sharded_run.h).
 //
-// Draw order mirrors the live generators exactly (pair/client first, then
-// sizes, then the next-arrival gap), so a given config yields the same
-// arrival schedule whichever path consumes it.
+// Draw order per arrival: pair/client first, then sizes (or the fanin
+// server shuffle), then the next-arrival gap. Tests pin this order, so a
+// given config and seed always yields the same schedule.
 #pragma once
 
 #include <cstdint>

@@ -271,6 +271,19 @@ TEST(CliRun, FabricScenarioProducesJson) {
   EXPECT_GT(JsonNumber(result.json, "delivered_bytes"), 0) << result.json;
 }
 
+// Without --shards every platform runs on one engine shard.
+TEST(CliRun, DefaultRunReportsOneShard) {
+  for (const char* scenario : {"burst", "incast", "websearch"}) {
+    const char* argv[] = {"occamy_sim", "--scale=smoke", "--duration-ms=1"};
+    SimOptions opts;
+    ASSERT_FALSE(ParseArgs(3, argv, opts).has_value());
+    opts.scenario = scenario;
+    const SimResult result = RunScenario(opts);
+    ASSERT_TRUE(result.ok) << scenario << ": " << result.error;
+    EXPECT_EQ(JsonNumber(result.json, "shards"), 1) << scenario;
+  }
+}
+
 TEST(CliRun, ShardedFabricRunMatchesSingleShard) {
   SimOptions opts;
   opts.scenario = "websearch";

@@ -1,9 +1,9 @@
-// Differential-oracle test harness for the partition-parallel engines.
+// Differential-oracle test harness for the partition-parallel engine.
 //
-// The engines' determinism contract (src/sim/sharded_simulator.h) says a
-// scenario's JSON metrics are byte-identical for ANY shard count >= 1, with
+// The engine's determinism contract (src/sim/sharded_simulator.h) says a
+// scenario's JSON metrics are byte-identical for ANY shard count, with
 // shards=1 — the identical windowed algorithm on one thread — as the
-// single-threaded oracle. This header turns that contract into a reusable
+// oracle. This header turns that contract into a reusable
 // assertion: run any exp::PointSpec at shards=1 and shards=N and diff the
 // *deterministic fingerprint* of the metrics — every metric except the
 // wall-clock fields, rendered with round-trip-exact doubles. Exact equality

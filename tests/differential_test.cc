@@ -8,6 +8,9 @@
 // seed-dependent nondeterminism surfaces before merge.
 #include "tests/differential.h"
 
+#include <utility>
+#include <vector>
+
 #include "bench/common/burst_lab.h"
 #include "bench/common/dpdk_run.h"
 #include "bench/common/fabric_run.h"
@@ -273,8 +276,36 @@ TEST(DifferentialTest, BurstLabThreadedAndInlineExecutionMatch) {
   EXPECT_GT(threaded.sim_events, 0);
   EXPECT_EQ(threaded.shards, 2);
   EXPECT_GT(threaded.parallel_efficiency, 0.0);
-  const bench::BurstLabResult legacy = bench::RunBurstLab(bench::BurstLabSpec{});
-  EXPECT_EQ(legacy.shards, 0);
+  EXPECT_EQ(bench::RunBurstLab(bench::BurstLabSpec{}).shards, 1)
+      << "the default spec runs one shard";
+}
+
+// Queue-length traces are sampled on partition 0's lane simulator, so the
+// q_long / q_burst / threshold series are part of the determinism contract:
+// identical at any shard count and window batch.
+TEST(DifferentialTest, BurstLabQueueTracesShardAndBatchInvariant) {
+  const auto traces = [](int shards, int window_batch) {
+    bench::BurstLabSpec spec;
+    spec.scheme = bench::Scheme::kOccamy;
+    spec.alpha = 4.0;
+    spec.horizon = Microseconds(900);
+    spec.sample_every = Microseconds(25);
+    spec.seed = testing::ShiftedSeed(1);
+    spec.shards = shards;
+    spec.window_batch = window_batch;
+    const bench::BurstLabResult r = bench::RunBurstLab(spec);
+    std::vector<std::pair<Time, double>> out;
+    for (const auto* series : {&r.q_long, &r.q_burst, &r.threshold}) {
+      for (const auto& sample : series->samples()) out.emplace_back(sample.t, sample.value);
+    }
+    return out;
+  };
+  const auto reference = traces(1, 1);
+  // One sample per 25us over [0, 900us], for each of the three series.
+  ASSERT_EQ(reference.size(), 3u * 37u);
+  EXPECT_EQ(reference, traces(2, 1)) << "shards 1 vs 2";
+  EXPECT_EQ(reference, traces(1, 0)) << "window_batch 1 vs auto";
+  EXPECT_EQ(reference, traces(2, 0)) << "shards 2, window_batch auto";
 }
 
 }  // namespace

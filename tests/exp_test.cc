@@ -34,7 +34,8 @@ SweepSpec SmallRealSpec() {
 // run to run; every other byte of the JSONL must be identical. The fields
 // are never first in a record (run_key is), so each is preceded by a comma.
 std::string StripPerfFields(std::string jsonl) {
-  for (const std::string key : {"\"wall_ms\":", "\"events_per_sec\":"}) {
+  for (const std::string key :
+       {"\"wall_ms\":", "\"events_per_sec\":", "\"parallel_efficiency\":"}) {
     size_t pos = 0;
     while ((pos = jsonl.find(key, pos)) != std::string::npos) {
       const size_t value_end = jsonl.find_first_of(",}", pos + key.size());
@@ -149,6 +150,14 @@ TEST(RunPointTest, RejectsInapplicableKnobs) {
   const PointResult r2 = RunPoint(burst);
   ASSERT_FALSE(r2.ok);
   EXPECT_NE(r2.error.find("burst_bytes"), std::string::npos) << r2.error;
+}
+
+TEST(RunPointTest, RejectsZeroShards) {
+  PointSpec spec;
+  spec.shards = 0;
+  const PointResult result = RunPoint(spec);
+  ASSERT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("want 1..64"), std::string::npos) << result.error;
 }
 
 TEST(AggregateTest, MeanAndP99AcrossSeeds) {

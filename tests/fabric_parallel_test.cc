@@ -89,10 +89,10 @@ TEST(FabricParallelTest, ShardedResultCarriesEngineFields) {
   const FabricRunResult r = RunFabric(run);
   EXPECT_EQ(r.shards, 2);
   EXPECT_GT(r.parallel_efficiency, 0.0);
-  run.shards = 0;  // legacy engine reports itself as such
-  const FabricRunResult legacy = RunFabric(run);
-  EXPECT_EQ(legacy.shards, 0);
-  EXPECT_GT(legacy.queries_completed, 0);
+  run.shards = FabricRunSpec{}.shards;  // the default: one shard
+  const FabricRunResult one = RunFabric(run);
+  EXPECT_EQ(one.shards, 1);
+  EXPECT_GT(one.queries_completed, 0);
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 #include "src/net/topology.h"
 #include "src/transport/flow_manager.h"
 #include "tests/differential.h"
+#include "tests/one_shard.h"
 #include "tools/sim_cli.h"
 
 namespace occamy {
@@ -329,7 +330,7 @@ TEST(FaultCli, GoodFaultsAccepted) {
 struct FaultHarness {
   explicit FaultHarness(const std::string& spec,
                         transport::TransportConfig config = {})
-      : sim(7), net(&sim) {
+      : sim(Microseconds(1), /*seed=*/7), net(sim.net) {
     net::StarConfig cfg;
     cfg.num_hosts = 4;
     cfg.host_rate = Bandwidth::Gbps(10);
@@ -354,8 +355,8 @@ struct FaultHarness {
     return manager->StartFlow(p);
   }
 
-  sim::Simulator sim;
-  net::Network net;
+  testing::OneShardSim sim;
+  net::Network& net;
   net::StarTopology topo;
   std::optional<fault::FaultInjector> injector;
   std::unique_ptr<transport::FlowManager> manager;
@@ -394,26 +395,17 @@ TEST(FaultTransport, CompleteCancelsRtoTimerAfterBlackholeLifts) {
   // fire into a dead flow).
   FaultHarness h("blackhole:t=0ns,dur=30ms,node=sw0,port=1", config);
   const uint64_t id = h.Flow(0, 1, 50000);
-  // The manager defers connection destruction past Complete(), so the
-  // timer state is probed from the synchronous completion listener — the
-  // instant after Complete() ran, before the connection is erased.
-  bool probed = false;
-  h.manager->AddCompletionListener(
-      [&](const transport::FlowParams& p, Time /*end*/) {
-        if (p.id != id) return;
-        transport::Connection* conn = h.manager->FindConnection(id);
-        ASSERT_NE(conn, nullptr);
-        EXPECT_TRUE(conn->completed());
-        EXPECT_FALSE(conn->rto_timer_pending())
-            << "Complete() must cancel rto_timer_";
-        EXPECT_EQ(conn->rto_backoff(), 0) << "new ACKs reset the backoff";
-        EXPECT_GE(conn->rto_count(), 1)
-            << "the outage must actually have bitten";
-        probed = true;
-      });
+  // Connections outlive their completion (the map is immutable while
+  // shards run), so the timer state is probed after the run drains.
   h.sim.Run();
+  h.manager->MergeShardCompletions();
 
-  EXPECT_TRUE(probed) << "flow never completed";
+  transport::Connection* conn = h.manager->FindConnection(id);
+  ASSERT_NE(conn, nullptr);
+  EXPECT_TRUE(conn->completed()) << "flow never completed";
+  EXPECT_FALSE(conn->rto_timer_pending()) << "Complete() must cancel rto_timer_";
+  EXPECT_EQ(conn->rto_backoff(), 0) << "new ACKs reset the backoff";
+  EXPECT_GE(conn->rto_count(), 1) << "the outage must actually have bitten";
   EXPECT_EQ(h.manager->completions().Count(), 1u);
   EXPECT_EQ(h.injector->Totals().faults_injected, 2)
       << "blackhole on + off";
@@ -424,8 +416,8 @@ TEST(FaultTransport, CompleteCancelsRtoTimerAfterBlackholeLifts) {
 // duplicate completion records from retransmits racing the new path), and
 // the whole batch finishes despite the mid-flow outage.
 TEST(FaultTransport, InFlightPacketsSurviveEcmpRehashWithoutDuplicateCompletion) {
-  sim::Simulator sim(7);
-  net::Network net(&sim);
+  testing::OneShardSim sim(Microseconds(10), /*seed=*/7);
+  net::Network& net = sim.net;
   net::LeafSpineConfig cfg;
   cfg.num_spines = 2;
   cfg.num_leaves = 2;
@@ -460,6 +452,7 @@ TEST(FaultTransport, InFlightPacketsSurviveEcmpRehashWithoutDuplicateCompletion)
     ids.push_back(manager.StartFlow(p));
   }
   sim.RunUntil(Milliseconds(400));
+  manager.MergeShardCompletions();
 
   EXPECT_GT(injector->Totals().reroutes, 0);
   std::map<uint64_t, int> completions_per_flow;

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "bench/common/scenarios.h"
+#include "bench/common/sharded_run.h"
 #include "src/workload/open_loop.h"
+#include "src/workload/pregen.h"
 
 namespace occamy::bench {
 namespace {
@@ -60,7 +62,7 @@ BurstResult RunBurst(Scheme scheme, double alpha, int64_t burst_bytes) {
   workload::OpenLoopSender burst_sender(&s.net, burst);
   burst_sender.Start();
 
-  s.sim.RunUntil(Milliseconds(4));
+  s.ssim.RunUntil(Milliseconds(4));
   result.burst_packets = burst_sender.packets_sent();
   result.delivered_to_burst_receiver = s.topo.host(s.net, 3).rx_packets();
   return result;
@@ -98,7 +100,6 @@ TEST(LineRateTest, ExpulsionDoesNotDegradeEgress) {
   // expulsion uses only redundant memory bandwidth.
   const BurstResult dt = RunBurst(Scheme::kDt, 4.0, 0);     // no burst: pure egress
   const BurstResult occ = RunBurst(Scheme::kOccamy, 4.0, 0);
-  sim::Simulator sim_dt, sim_occ;
   // Compare long-lived deliveries at receiver 2 via a dedicated run below.
   (void)dt;
   (void)occ;
@@ -127,7 +128,7 @@ TEST(LineRateTest, ExpulsionDoesNotDegradeEgress) {
     second.flow_id = 2;
     workload::OpenLoopSender sender2(&s.net, second);
     sender2.Start();
-    s.sim.RunUntil(Milliseconds(2));
+    s.ssim.RunUntil(Milliseconds(2));
     return s.topo.host(s.net, 2).rx_bytes() + s.topo.host(s.net, 3).rx_bytes();
   };
   const int64_t dt_bytes = run_delivered(Scheme::kDt);
@@ -186,11 +187,15 @@ TEST(ChokingTest, OccamyShieldsHighPriorityFromLowPriorityBuffer) {
     q.queries_per_second = 150;
     q.stop = Milliseconds(80);
     q.start = Milliseconds(10);  // after LP queues are established
-    workload::IncastWorkload incast(s.manager.get(), q);
-    incast.Start();
-    s.sim.RunUntil(Milliseconds(300));
-    EXPECT_EQ(incast.queries_completed(), incast.queries_issued());
-    return incast.qct().DurationsMs().Mean();
+    const workload::PregeneratedIncast incast = workload::PregenerateIncast(q);
+    std::vector<uint64_t> ids;
+    for (const auto& params : incast.flows) ids.push_back(s.manager->StartFlow(params));
+    s.ssim.RunUntil(Milliseconds(300));
+    s.manager->MergeShardCompletions();
+    const stats::CompletionCollector qct =
+        DeriveIncastQct(incast, ids, s.manager->completions(), nullptr);
+    EXPECT_EQ(qct.Count(), incast.queries.size());
+    return qct.DurationsMs().Mean();
   };
 
   const double dt_with = run_qct(Scheme::kDt, true);
@@ -219,8 +224,8 @@ TEST(FabricSmokeTest, WebSearchPlusIncastRunsToCompletion) {
   bg.size_dist = workload::WebSearchDistribution();
   bg.stop = Milliseconds(5);
   bg.ideal_fn = s.IdealFn();
-  workload::PoissonFlowGenerator gen(s.manager.get(), bg);
-  gen.Start();
+  const auto bg_flows = workload::PregeneratePoissonFlows(bg);
+  for (const auto& params : bg_flows) s.manager->StartFlow(params);
 
   workload::IncastConfig q;
   q.clients = s.topo.hosts;
@@ -231,16 +236,20 @@ TEST(FabricSmokeTest, WebSearchPlusIncastRunsToCompletion) {
   q.stop = Milliseconds(5);
   q.ideal_fn = s.IdealFn();
   q.query_ideal_fn = s.QueryIdealFn();
-  workload::IncastWorkload incast(s.manager.get(), q);
-  incast.Start();
+  const workload::PregeneratedIncast incast = workload::PregenerateIncast(q);
+  std::vector<uint64_t> ids;
+  for (const auto& params : incast.flows) ids.push_back(s.manager->StartFlow(params));
 
-  s.sim.RunUntil(Milliseconds(60));
-  EXPECT_GT(gen.flows_generated(), 0);
-  EXPECT_GT(incast.queries_issued(), 3);
+  s.ssim.RunUntil(Milliseconds(60));
+  s.manager->MergeShardCompletions();
+  const stats::CompletionCollector qct =
+      DeriveIncastQct(incast, ids, s.manager->completions(), q.query_ideal_fn);
+  EXPECT_GT(bg_flows.size(), 0u);
+  EXPECT_GT(incast.queries.size(), 3u);
   // The vast majority of queries complete within the drain window.
-  EXPECT_GE(incast.queries_completed(), incast.queries_issued() * 8 / 10);
+  EXPECT_GE(qct.Count(), incast.queries.size() * 8 / 10);
   // Slowdowns are sane (>= ~1).
-  const auto slow = incast.qct().Slowdowns();
+  const auto slow = qct.Slowdowns();
   if (!slow.Empty()) {
     EXPECT_GT(slow.Mean(), 0.9);
   }

@@ -7,6 +7,7 @@
 #include "src/bm/dynamic_threshold.h"
 #include "src/net/topology.h"
 #include "src/workload/open_loop.h"
+#include "tests/one_shard.h"
 
 namespace occamy::net {
 namespace {
@@ -20,8 +21,8 @@ SwitchConfig MinimalSwitch() {
 }
 
 TEST(SwitchConfigTest, EmptyRateVectorsDefault) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardSim sim;
+  Network& net = sim.net;
   auto sw = std::make_unique<SwitchNode>(MinimalSwitch());
   SwitchNode* ptr = sw.get();
   net.AddNode(std::move(sw));
@@ -31,8 +32,8 @@ TEST(SwitchConfigTest, EmptyRateVectorsDefault) {
 }
 
 TEST(SwitchTest, RouteMissDropsSilently) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardSim sim;
+  Network& net = sim.net;
   auto sw = std::make_unique<SwitchNode>(MinimalSwitch());
   SwitchNode* ptr = sw.get();
   net.AddNode(std::move(sw));
@@ -45,8 +46,8 @@ TEST(SwitchTest, RouteMissDropsSilently) {
 }
 
 TEST(HostTest, TxQueueLimitDropsExcess) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardSim sim;
+  Network& net = sim.net;
   StarConfig cfg;
   cfg.num_hosts = 2;
   cfg.host_rate = Bandwidth::Gbps(10);
@@ -72,8 +73,8 @@ TEST(HostTest, TxQueueLimitDropsExcess) {
 }
 
 TEST(OpenLoopTest, StopsAtTotalBytes) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardSim sim;
+  Network& net = sim.net;
   StarConfig cfg;
   cfg.num_hosts = 2;
   cfg.host_rate = Bandwidth::Gbps(10);
@@ -92,8 +93,8 @@ TEST(OpenLoopTest, StopsAtTotalBytes) {
 }
 
 TEST(OpenLoopTest, StopsAtStopTime) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardSim sim;
+  Network& net = sim.net;
   StarConfig cfg;
   cfg.num_hosts = 2;
   cfg.host_rate = Bandwidth::Gbps(10);
@@ -112,16 +113,16 @@ TEST(OpenLoopTest, StopsAtStopTime) {
 }
 
 TEST(NetworkTest, NodeIdsSequential) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardSim sim;
+  Network& net = sim.net;
   EXPECT_EQ(net.AddNode(std::make_unique<Host>()), 0u);
   EXPECT_EQ(net.AddNode(std::make_unique<Host>()), 1u);
   EXPECT_EQ(net.num_nodes(), 2u);
 }
 
 TEST(NetworkTest, FlowIdsUnique) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardSim sim;
+  Network& net = sim.net;
   const uint64_t a = net.NextFlowId();
   const uint64_t b = net.NextFlowId();
   EXPECT_NE(a, b);

@@ -6,6 +6,7 @@
 #include "src/bm/dynamic_threshold.h"
 #include "src/net/topology.h"
 #include "src/workload/open_loop.h"
+#include "tests/one_shard.h"
 
 namespace occamy::net {
 namespace {
@@ -27,8 +28,8 @@ StarTopology MakeStar(Network& net, int hosts = 4, Bandwidth rate = Bandwidth::G
 }
 
 TEST(StarTest, PacketDeliveredEndToEnd) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardSim sim;
+  Network& net = sim.net;
   auto topo = MakeStar(net);
   int received = 0;
   topo.host(net, 1).set_receiver([&](const Packet& p) {
@@ -45,8 +46,8 @@ TEST(StarTest, PacketDeliveredEndToEnd) {
 }
 
 TEST(StarTest, EndToEndLatencyIsSerializationPlusPropagation) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardSim sim;
+  Network& net = sim.net;
   auto topo = MakeStar(net, 4, Bandwidth::Gbps(10));
   Time arrival = -1;
   topo.host(net, 1).set_receiver([&](const Packet&) { arrival = sim.now(); });
@@ -61,8 +62,8 @@ TEST(StarTest, EndToEndLatencyIsSerializationPlusPropagation) {
 }
 
 TEST(StarTest, NicSerializesBackToBack) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardSim sim;
+  Network& net = sim.net;
   auto topo = MakeStar(net);
   std::vector<Time> arrivals;
   topo.host(net, 1).set_receiver([&](const Packet&) { arrivals.push_back(sim.now()); });
@@ -82,8 +83,8 @@ TEST(StarTest, NicSerializesBackToBack) {
 
 TEST(StarTest, SwitchQueuesWhenReceiverSlower) {
   // 100G sender into a 10G receiver port: packets pile up in the switch.
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardSim sim;
+  Network& net = sim.net;
   StarConfig cfg;
   cfg.num_hosts = 2;
   cfg.host_rates = {Bandwidth::Gbps(100), Bandwidth::Gbps(10)};
@@ -107,8 +108,8 @@ TEST(StarTest, SwitchQueuesWhenReceiverSlower) {
 }
 
 TEST(StarTest, PartitioningSplitsPorts) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardSim sim;
+  Network& net = sim.net;
   StarConfig cfg;
   cfg.num_hosts = 16;
   cfg.host_rate = Bandwidth::Gbps(10);
@@ -125,8 +126,8 @@ TEST(StarTest, PartitioningSplitsPorts) {
 }
 
 TEST(StarTest, DropHookFiresOnOverload) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardSim sim;
+  Network& net = sim.net;
   StarConfig cfg;
   cfg.num_hosts = 2;
   cfg.host_rates = {Bandwidth::Gbps(100), Bandwidth::Gbps(10)};
@@ -166,8 +167,8 @@ LeafSpineConfig SmallFabric() {
 }
 
 TEST(LeafSpineTest, TopologyShape) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardSim sim;
+  Network& net = sim.net;
   auto topo = BuildLeafSpine(net, SmallFabric());
   EXPECT_EQ(topo.num_hosts(), 8);
   EXPECT_EQ(topo.leaves.size(), 2u);
@@ -179,8 +180,8 @@ TEST(LeafSpineTest, TopologyShape) {
 }
 
 TEST(LeafSpineTest, IntraRackDelivery) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardSim sim;
+  Network& net = sim.net;
   auto topo = BuildLeafSpine(net, SmallFabric());
   int received = 0;
   topo.host(net, 1).set_receiver([&](const Packet&) { ++received; });
@@ -194,8 +195,8 @@ TEST(LeafSpineTest, IntraRackDelivery) {
 }
 
 TEST(LeafSpineTest, CrossRackDelivery) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardSim sim;
+  Network& net = sim.net;
   auto topo = BuildLeafSpine(net, SmallFabric());
   int received = 0;
   topo.host(net, 5).set_receiver([&](const Packet&) { ++received; });
@@ -210,8 +211,8 @@ TEST(LeafSpineTest, CrossRackDelivery) {
 }
 
 TEST(LeafSpineTest, EcmpSpreadsFlowsAcrossSpines) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardSim sim;
+  Network& net = sim.net;
   LeafSpineConfig cfg = SmallFabric();
   cfg.num_spines = 4;
   auto topo = BuildLeafSpine(net, cfg);
@@ -240,8 +241,8 @@ TEST(LeafSpineTest, EcmpSpreadsFlowsAcrossSpines) {
 }
 
 TEST(LeafSpineTest, SameFlowStaysOnOnePath) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardSim sim;
+  Network& net = sim.net;
   auto topo = BuildLeafSpine(net, SmallFabric());
   // All packets of one flow must traverse exactly one spine.
   for (int f = 1; f <= 20; ++f) {

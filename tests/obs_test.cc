@@ -358,26 +358,6 @@ TEST(ProfileReportTest, AggregatesSpansPerShard) {
   EXPECT_NE(text.find("barrier overhead:"), std::string::npos);
 }
 
-TEST(ProfileReportTest, RunCoreFallbackWhenNoWindowSpans) {
-  // Single-threaded runs emit run.core spans only; busy time must fall back
-  // to them instead of reading zero.
-  std::vector<TraceEvent> events;
-  TraceEvent core;
-  core.name = kSpanRunCore;
-  core.ts_ns = 100;
-  core.dur_ns = 900;
-  core.shard = 0;
-  core.phase = 'X';
-  core.arg_name = "events";
-  core.arg = 1000;
-  events.push_back(core);
-  const ProfileReport report = BuildProfileReport(events, /*shards=*/1, 0);
-  ASSERT_EQ(report.shards.size(), 1u);
-  EXPECT_EQ(report.shards[0].busy_ns, 900u);
-  EXPECT_EQ(report.shards[0].windows, 1u);
-  EXPECT_EQ(report.shards[0].events, 1000u);
-}
-
 TEST(ProfileReportTest, EmptyInputIsSafe) {
   const ProfileReport report = BuildProfileReport({}, /*shards=*/0, 0);
   EXPECT_EQ(report.shards.size(), 1u);
@@ -445,7 +425,7 @@ TEST(ProfileReportTest, WindowBatchingLineAggregatesPlanSpanArgs) {
 }
 
 TEST(ProfileReportTest, NoWindowBatchingLineWithoutPlanRounds) {
-  // A single-threaded run has no plan spans at all; the report must omit
+  // A trace with no plan spans at all: the report must omit
   // the batching line instead of dividing by zero rounds.
   std::vector<TraceEvent> events;
   TraceEvent core;

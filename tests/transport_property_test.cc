@@ -10,6 +10,7 @@
 #include "src/bm/dynamic_threshold.h"
 #include "src/net/topology.h"
 #include "src/transport/flow_manager.h"
+#include "tests/one_shard.h"
 
 namespace occamy::transport {
 namespace {
@@ -19,8 +20,9 @@ class TransportSweepTest
 
 TEST_P(TransportSweepTest, AllFlowsComplete) {
   const auto [cc, buffer, num_flows] = GetParam();
-  sim::Simulator sim(static_cast<uint64_t>(buffer) + static_cast<uint64_t>(num_flows));
-  net::Network net(&sim);
+  occamy::testing::OneShardSim sim(
+      Microseconds(1), static_cast<uint64_t>(buffer) + static_cast<uint64_t>(num_flows));
+  net::Network& net = sim.net;
   net::StarConfig cfg;
   cfg.num_hosts = 8;
   cfg.host_rate = Bandwidth::Gbps(10);
@@ -47,6 +49,7 @@ TEST_P(TransportSweepTest, AllFlowsComplete) {
     manager.StartFlow(p);
   }
   sim.RunUntil(Seconds(5));
+  manager.MergeShardCompletions();
   EXPECT_EQ(manager.counters().flows_completed, num_flows);
   EXPECT_EQ(manager.completions().Count(), static_cast<size_t>(num_flows));
   for (const auto& rec : manager.completions().records()) {
@@ -74,8 +77,8 @@ INSTANTIATE_TEST_SUITE_P(
 // Deterministic replay: identical seeds produce identical completion times.
 TEST(TransportDeterminismTest, IdenticalSeedsIdenticalResults) {
   auto run = [] {
-    sim::Simulator sim(1234);
-    net::Network net(&sim);
+    occamy::testing::OneShardSim sim(Microseconds(1), 1234);
+    net::Network& net = sim.net;
     net::StarConfig cfg;
     cfg.num_hosts = 4;
     cfg.host_rate = Bandwidth::Gbps(10);
@@ -94,6 +97,7 @@ TEST(TransportDeterminismTest, IdenticalSeedsIdenticalResults) {
       manager.StartFlow(p);
     }
     sim.Run();
+    manager.MergeShardCompletions();
     std::vector<Time> ends;
     for (const auto& rec : manager.completions().records()) ends.push_back(rec.end);
     return ends;

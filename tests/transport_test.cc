@@ -5,6 +5,7 @@
 #include "src/bm/dynamic_threshold.h"
 #include "src/net/topology.h"
 #include "src/transport/flow_manager.h"
+#include "tests/one_shard.h"
 
 namespace occamy::transport {
 namespace {
@@ -12,7 +13,7 @@ namespace {
 struct Harness {
   explicit Harness(int hosts = 4, Bandwidth rate = Bandwidth::Gbps(10),
                    int64_t buffer = 500000, int64_t ecn_threshold = 0)
-      : sim(7), net(&sim) {
+      : sim(Microseconds(1), /*seed=*/7), net(sim.net) {
     net::StarConfig cfg;
     cfg.num_hosts = hosts;
     cfg.host_rate = rate;
@@ -38,8 +39,14 @@ struct Harness {
     return manager->StartFlow(p);
   }
 
-  sim::Simulator sim;
-  net::Network net;
+  // Runs until every queue drains, then merges the completion records.
+  void Run() {
+    sim.Run();
+    manager->MergeShardCompletions();
+  }
+
+  testing::OneShardSim sim;
+  net::Network& net;
   net::StarTopology topo;
   std::unique_ptr<FlowManager> manager;
 };
@@ -47,7 +54,7 @@ struct Harness {
 TEST(TransportTest, SingleFlowCompletesExactly) {
   Harness h;
   h.Flow(0, 1, 100000);
-  h.sim.Run();
+  h.Run();
   ASSERT_EQ(h.manager->completions().Count(), 1u);
   const auto& rec = h.manager->completions().records()[0];
   EXPECT_EQ(rec.bytes, 100000);
@@ -58,7 +65,7 @@ TEST(TransportTest, SingleFlowCompletesExactly) {
 TEST(TransportTest, TinyFlowSingleSegment) {
   Harness h;
   h.Flow(0, 1, 100);
-  h.sim.Run();
+  h.Run();
   ASSERT_EQ(h.manager->completions().Count(), 1u);
   EXPECT_EQ(h.manager->counters().data_packets_sent, 1);
   EXPECT_EQ(h.manager->counters().acks_sent, 1);
@@ -69,7 +76,7 @@ TEST(TransportTest, UncongestedFctNearIdeal) {
   // 50 segments at 10G through 4 hops; no competition.
   const int64_t bytes = 50 * 1460;
   h.Flow(0, 1, bytes);
-  h.sim.Run();
+  h.Run();
   const auto& rec = h.manager->completions().records()[0];
   // Ideal: serialization of 50*1500B at 10G (~60us) + ~2 RTTs of slow start
   // ramp + base RTT (~8us). Require within 3x of the transfer time.
@@ -82,7 +89,7 @@ TEST(TransportTest, ThroughputReachesLineRate) {
   Harness h;
   const int64_t bytes = 4 * 1000 * 1000;  // 4 MB
   h.Flow(0, 1, bytes);
-  h.sim.Run();
+  h.Run();
   const auto& rec = h.manager->completions().records()[0];
   const double seconds = ToSeconds(rec.Duration());
   const double goodput = static_cast<double>(bytes) / seconds;  // bytes/s
@@ -100,7 +107,7 @@ TEST(TransportTest, DctcpKeepsQueueNearEcnThreshold) {
     h.sim.RunUntil(t);
     max_q = std::max(max_q, h.topo.sw(h.net).QueueLengthBytes(1, 0));
   }
-  h.sim.Run();
+  h.Run();
   EXPECT_EQ(h.manager->completions().Count(), 2u);
   // DCTCP bounds the queue: well below the 500KB buffer, in the vicinity of
   // K plus a few BDP of overshoot.
@@ -112,7 +119,7 @@ TEST(TransportTest, EcnAvoidsLossEntirely) {
   Harness h(4, Bandwidth::Gbps(10), 500000, /*ecn_threshold=*/30000);
   h.Flow(0, 1, 2 * 1000 * 1000);
   h.Flow(2, 1, 2 * 1000 * 1000);
-  h.sim.Run();
+  h.Run();
   EXPECT_EQ(h.topo.sw(h.net).TotalDrops(), 0);
   EXPECT_EQ(h.manager->counters().rtos, 0);
 }
@@ -122,7 +129,7 @@ TEST(TransportTest, RecoversFromLossWithTinyBuffer) {
   h.Flow(0, 1, 1000 * 1000);
   h.Flow(2, 1, 1000 * 1000);
   h.Flow(3, 1, 1000 * 1000);
-  h.sim.Run();
+  h.Run();
   EXPECT_EQ(h.manager->completions().Count(), 3u);
   EXPECT_GT(h.topo.sw(h.net).TotalDrops(), 0);
   EXPECT_GT(h.manager->counters().fast_retransmits + h.manager->counters().rtos, 0);
@@ -135,7 +142,7 @@ TEST(TransportTest, RecoversFromLossWithTinyBuffer) {
 TEST(TransportTest, SevereIncastTriggersRtoButCompletes) {
   Harness h(8, Bandwidth::Gbps(10), /*buffer=*/40000, /*ecn=*/0);
   for (int s = 1; s < 8; ++s) h.Flow(s, 0, 300000);
-  h.sim.Run();
+  h.Run();
   EXPECT_EQ(h.manager->completions().Count(), 7u);
   EXPECT_GT(h.manager->counters().rtos, 0);
 }
@@ -144,7 +151,7 @@ TEST(TransportTest, CubicFlowCompletes) {
   Harness h(4, Bandwidth::Gbps(10), 100000, 0);
   h.Flow(0, 1, 3 * 1000 * 1000, CcAlgorithm::kCubic);
   h.Flow(2, 1, 3 * 1000 * 1000, CcAlgorithm::kCubic);
-  h.sim.Run();
+  h.Run();
   EXPECT_EQ(h.manager->completions().Count(), 2u);
   const double goodput = 3.0e6 / ToSeconds(h.manager->completions().records()[0].Duration());
   EXPECT_GT(goodput, 3.0e8);  // both flows share 1.25e9 B/s; ramp-up costs some
@@ -162,7 +169,7 @@ TEST(TransportTest, CubicIgnoresEcnMarks) {
     h.sim.RunUntil(t);
     max_q = std::max(max_q, h.topo.sw(h.net).QueueLengthBytes(1, 0));
   }
-  h.sim.Run();
+  h.Run();
   // Queue grows far beyond the ECN threshold (DCTCP would have capped it).
   EXPECT_GT(max_q, 100000);
 }
@@ -176,7 +183,7 @@ TEST(TransportTest, RttEstimateConvergesAndRtoFloors) {
   EXPECT_FALSE(conn->completed());
   // Base RTT ~8us; the min RTO floor (5ms) dominates RTO.
   EXPECT_EQ(conn->rto(), h.manager->config().min_rto);
-  h.sim.Run();
+  h.Run();
 }
 
 TEST(TransportTest, DctcpAlphaDecaysWithoutCongestion) {
@@ -191,7 +198,7 @@ TEST(TransportTest, DctcpAlphaDecaysWithoutCongestion) {
   if (conn != nullptr) {
     EXPECT_LT(conn->dctcp_alpha(), early_alpha);  // decays from init toward 0
   }
-  h.sim.Run();
+  h.Run();
   EXPECT_EQ(h.manager->completions().Count(), 1u);
 }
 
@@ -205,21 +212,8 @@ TEST(TransportTest, ManyParallelFlowsAllComplete) {
       ++n;
     }
   }
-  h.sim.Run();
+  h.Run();
   EXPECT_EQ(h.manager->completions().Count(), static_cast<size_t>(n));
-}
-
-TEST(TransportTest, CompletionHookFires) {
-  Harness h;
-  int hooks = 0;
-  h.manager->AddCompletionListener(
-      [&](const FlowParams& p, Time) {
-        ++hooks;
-        EXPECT_EQ(p.size_bytes, 12345);
-      });
-  h.Flow(0, 1, 12345);
-  h.sim.Run();
-  EXPECT_EQ(hooks, 1);
 }
 
 TEST(TransportTest, SlowdownUsesIdealDuration) {
@@ -230,7 +224,7 @@ TEST(TransportTest, SlowdownUsesIdealDuration) {
   p.size_bytes = 100000;
   p.ideal_duration = Microseconds(10);
   h.manager->StartFlow(p);
-  h.sim.Run();
+  h.Run();
   const auto slowdowns = h.manager->completions().Slowdowns();
   ASSERT_EQ(slowdowns.Count(), 1u);
   EXPECT_GT(slowdowns.Mean(), 1.0);

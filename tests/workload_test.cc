@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <vector>
 
+#include "bench/common/sharded_run.h"
 #include "src/bm/dynamic_threshold.h"
 #include "src/net/topology.h"
 #include "src/transport/flow_manager.h"
@@ -10,6 +13,8 @@
 #include "src/workload/flow_size_dist.h"
 #include "src/workload/incast.h"
 #include "src/workload/poisson_flows.h"
+#include "src/workload/pregen.h"
+#include "tests/one_shard.h"
 
 namespace occamy::workload {
 namespace {
@@ -138,10 +143,101 @@ TEST(TreeTest, AllReduceEdgesAreValidPairs) {
   }
 }
 
-// ---------- Generators on a live network ----------
+// ---------- Pre-generated schedules ----------
+
+// The documented draw order per arrival — endpoint pair, then size, then
+// the gap to the next arrival — replayed by hand against the generator.
+TEST(PregenTest, PoissonDrawOrderIsPinned) {
+  PoissonFlowConfig cfg;
+  cfg.hosts = {10, 11, 12, 13};
+  cfg.load = 0.3;
+  cfg.host_rate = Bandwidth::Gbps(10);
+  cfg.size_dist = WebSearchDistribution();
+  cfg.start = Microseconds(7);
+  cfg.stop = Milliseconds(3);
+  cfg.seed = 41;
+  const auto flows = PregeneratePoissonFlows(cfg);
+  ASSERT_GT(flows.size(), 3u);
+
+  Rng rng(cfg.seed);
+  const PairSampler pairs = DefaultPairSampler(cfg.hosts);
+  const double mean_gap = static_cast<double>(MeanInterarrivalOf(cfg));
+  Time t = cfg.start;
+  for (const auto& f : flows) {
+    const auto [src, dst] = pairs(rng);
+    EXPECT_EQ(f.src, src);
+    EXPECT_EQ(f.dst, dst);
+    EXPECT_EQ(f.size_bytes,
+              std::max<int64_t>(1, static_cast<int64_t>(cfg.size_dist.Sample(rng))));
+    EXPECT_EQ(f.start_time, t);
+    EXPECT_EQ(f.id, 0u);  // assigned by FlowManager::StartFlow
+    t += static_cast<Time>(rng.Exponential(mean_gap)) + 1;
+  }
+  EXPECT_GT(t, cfg.stop);  // the schedule ends at the first arrival past stop
+}
+
+// Per query: client draw, then the fanin partial shuffle of the servers
+// (client excluded), then the gap to the next query.
+TEST(PregenTest, IncastDrawOrderIsPinned) {
+  IncastConfig cfg;
+  cfg.clients = {0, 1};
+  cfg.servers = {0, 1, 2, 3, 4, 5};
+  cfg.fanin = 3;
+  cfg.query_size_bytes = 30000;
+  cfg.queries_per_second = 5000;
+  cfg.start = Microseconds(3);
+  cfg.stop = Milliseconds(2);
+  cfg.seed = 17;
+  const PregeneratedIncast incast = PregenerateIncast(cfg);
+  ASSERT_GT(incast.queries.size(), 2u);
+  EXPECT_EQ(incast.flows.size(), incast.queries.size() * 3);
+
+  Rng rng(cfg.seed);
+  Time t = cfg.start;
+  uint64_t id = 1;
+  for (const auto& q : incast.queries) {
+    const net::NodeId client = cfg.clients[rng.UniformInt(cfg.clients.size())];
+    std::vector<net::NodeId> candidates;
+    for (net::NodeId s : cfg.servers) {
+      if (s != client) candidates.push_back(s);
+    }
+    for (size_t i = 0; i < 3; ++i) {
+      std::swap(candidates[i], candidates[i + rng.UniformInt(candidates.size() - i)]);
+    }
+    EXPECT_EQ(q.id, id++);
+    EXPECT_EQ(q.client, client);
+    EXPECT_EQ(q.issue_time, t);
+    ASSERT_EQ(q.flow_indices.size(), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+      const auto& f = incast.flows[q.flow_indices[i]];
+      EXPECT_EQ(f.src, candidates[i]);
+      EXPECT_EQ(f.dst, client);
+      EXPECT_EQ(f.size_bytes, 10000);
+      EXPECT_EQ(f.start_time, t);
+    }
+    t += FromSeconds(rng.Exponential(1.0 / cfg.queries_per_second)) + 1;
+  }
+  EXPECT_GT(t, cfg.stop);
+}
+
+TEST(PregenTest, IncastHonorsMaxQueriesAndStart) {
+  IncastConfig cfg;
+  cfg.clients = {0};
+  cfg.servers = {1, 2, 3};
+  cfg.fanin = 2;
+  cfg.queries_per_second = 1e6;
+  cfg.max_queries = 4;
+  cfg.start = Milliseconds(1);
+  cfg.stop = Milliseconds(100);
+  const PregeneratedIncast incast = PregenerateIncast(cfg);
+  ASSERT_EQ(incast.queries.size(), 4u);
+  EXPECT_EQ(incast.queries[0].issue_time, Milliseconds(1));
+}
+
+// ---------- Schedules on a one-shard network ----------
 
 struct WorkloadHarness {
-  WorkloadHarness() : sim(11), net(&sim) {
+  WorkloadHarness() : sim(Microseconds(1), /*seed=*/11), net(sim.net) {
     net::StarConfig cfg;
     cfg.num_hosts = 8;
     cfg.host_rate = Bandwidth::Gbps(10);
@@ -156,8 +252,18 @@ struct WorkloadHarness {
     for (auto h : topo.hosts) manager->AttachHost(h);
   }
 
-  sim::Simulator sim;
-  net::Network net;
+  // Starts every flow of `incast`, runs until every queue drains, and
+  // returns the per-query completion records.
+  stats::CompletionCollector RunIncast(const PregeneratedIncast& incast) {
+    std::vector<uint64_t> ids;
+    for (const auto& params : incast.flows) ids.push_back(manager->StartFlow(params));
+    sim.Run();
+    manager->MergeShardCompletions();
+    return bench::DeriveIncastQct(incast, ids, manager->completions(), nullptr);
+  }
+
+  testing::OneShardSim sim;
+  net::Network& net;
   net::StarTopology topo;
   std::unique_ptr<transport::FlowManager> manager;
 };
@@ -171,32 +277,16 @@ TEST(PoissonFlowsTest, GeneratesExpectedFlowCount) {
   cfg.size_dist = FixedSizeDistribution(100000);
   cfg.stop = Milliseconds(20);
   cfg.seed = 5;
-  PoissonFlowGenerator gen(h.manager.get(), cfg);
-  gen.Start();
+  const auto flows = PregeneratePoissonFlows(cfg);
+  for (const auto& params : flows) h.manager->StartFlow(params);
   h.sim.Run();
   // Expected: load * rate * hosts / size * time
   //         = 0.4 * 1.25e9 * 8 / 1e5 * 0.02 = 800 flows.
-  EXPECT_NEAR(static_cast<double>(gen.flows_generated()), 800.0, 120.0);
-  EXPECT_EQ(h.manager->counters().flows_started, gen.flows_generated());
+  const auto generated = static_cast<int64_t>(flows.size());
+  EXPECT_NEAR(static_cast<double>(generated), 800.0, 120.0);
+  EXPECT_EQ(h.manager->counters().flows_started, generated);
   // All flows eventually complete.
-  EXPECT_EQ(h.manager->counters().flows_completed, gen.flows_generated());
-}
-
-TEST(PoissonFlowsTest, OwnershipTracking) {
-  WorkloadHarness h;
-  PoissonFlowConfig cfg;
-  cfg.hosts = h.topo.hosts;
-  cfg.load = 0.2;
-  cfg.size_dist = FixedSizeDistribution(10000);
-  cfg.stop = Milliseconds(2);
-  PoissonFlowGenerator gen(h.manager.get(), cfg);
-  gen.Start();
-  h.sim.Run();
-  ASSERT_GT(gen.flows_generated(), 0);
-  for (const auto& rec : h.manager->completions().records()) {
-    EXPECT_TRUE(gen.Owns(rec.id));
-  }
-  EXPECT_FALSE(gen.Owns(999999));
+  EXPECT_EQ(h.manager->counters().flows_completed, generated);
 }
 
 TEST(IncastTest, SingleQueryQctRecorded) {
@@ -208,13 +298,11 @@ TEST(IncastTest, SingleQueryQctRecorded) {
   cfg.query_size_bytes = 700000;
   cfg.max_queries = 1;
   cfg.stop = Milliseconds(50);
-  IncastWorkload incast(h.manager.get(), cfg);
-  incast.IssueQueryNow();
-  h.sim.Run();
-  EXPECT_EQ(incast.queries_issued(), 1);
-  EXPECT_EQ(incast.queries_completed(), 1);
-  ASSERT_EQ(incast.qct().Count(), 1u);
-  const auto& rec = incast.qct().records()[0];
+  const PregeneratedIncast incast = PregenerateIncast(cfg);
+  ASSERT_EQ(incast.queries.size(), 1u);
+  const stats::CompletionCollector qct = h.RunIncast(incast);
+  ASSERT_EQ(qct.Count(), 1u);
+  const auto& rec = qct.records()[0];
   EXPECT_EQ(rec.bytes, 700000);
   // 700KB into a 10G port takes >= 560us.
   EXPECT_GT(ToMilliseconds(rec.Duration()), 0.5);
@@ -229,12 +317,9 @@ TEST(IncastTest, PoissonQueriesComplete) {
   cfg.query_size_bytes = 100000;
   cfg.queries_per_second = 2000;
   cfg.stop = Milliseconds(10);
-  IncastWorkload incast(h.manager.get(), cfg);
-  incast.Start();
-  h.sim.Run();
-  EXPECT_GT(incast.queries_issued(), 5);
-  EXPECT_EQ(incast.queries_completed(), incast.queries_issued());
-  EXPECT_EQ(static_cast<int64_t>(incast.qct().Count()), incast.queries_completed());
+  const PregeneratedIncast incast = PregenerateIncast(cfg);
+  EXPECT_GT(incast.queries.size(), 5u);
+  EXPECT_EQ(h.RunIncast(incast).Count(), incast.queries.size());
 }
 
 TEST(IncastTest, ServersExcludeClient) {
@@ -244,13 +329,12 @@ TEST(IncastTest, ServersExcludeClient) {
   cfg.servers = h.topo.hosts;  // includes the client; must be excluded
   cfg.fanin = 7;
   cfg.query_size_bytes = 70000;
+  cfg.queries_per_second = 10000;
   cfg.max_queries = 3;
-  IncastWorkload incast(h.manager.get(), cfg);
-  incast.IssueQueryNow();
-  incast.IssueQueryNow();
-  incast.IssueQueryNow();
-  h.sim.Run();
-  EXPECT_EQ(incast.queries_completed(), 3);
+  const PregeneratedIncast incast = PregenerateIncast(cfg);
+  ASSERT_EQ(incast.queries.size(), 3u);
+  for (const auto& f : incast.flows) EXPECT_NE(f.src, h.topo.hosts[0]);
+  EXPECT_EQ(h.RunIncast(incast).Count(), 3u);
 }
 
 TEST(CollectiveTest, AllReduceFlowsFollowTreeEdges) {
@@ -268,11 +352,14 @@ TEST(CollectiveTest, AllReduceFlowsFollowTreeEdges) {
     EXPECT_TRUE(valid.count(cfg.pair_sampler(rng)) > 0);
   }
   // And the traffic runs to completion.
-  PoissonFlowGenerator gen(h.manager.get(), cfg);
-  gen.Start();
+  const auto flows = PregeneratePoissonFlows(cfg);
+  ASSERT_GT(flows.size(), 0u);
+  for (const auto& params : flows) {
+    EXPECT_TRUE(valid.count({params.src, params.dst}) > 0);
+    h.manager->StartFlow(params);
+  }
   h.sim.Run();
-  EXPECT_GT(gen.flows_generated(), 0);
-  EXPECT_EQ(h.manager->counters().flows_completed, gen.flows_generated());
+  EXPECT_EQ(h.manager->counters().flows_completed, static_cast<int64_t>(flows.size()));
 }
 
 }  // namespace

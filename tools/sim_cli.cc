@@ -208,11 +208,10 @@ std::string UsageString() {
          "  --seed=<n>          RNG seed (default: 1)\n"
          "  --duration-ms=<ms>  traffic duration override (default: scenario-specific)\n"
          "  --alphas=<a,b,...>  per-class alpha override (default: scheme-specific)\n"
-         "  --shards=<n>        run on the partition-parallel engine with n shards\n"
-         "                      (fabric: node-affinity sharding; star/p4: intra-\n"
-         "                      switch partition sharding; byte-identical metrics\n"
-         "                      for any n; default: single-threaded engine)\n"
-         "  --window-batch=<k>  sharded engine: windows per plan-barrier round;\n"
+         "  --shards=<n>        engine shards, 1..64 (default: 1; fabric: node-\n"
+         "                      affinity sharding; star/p4: intra-switch partition\n"
+         "                      sharding; byte-identical metrics for any n)\n"
+         "  --window-batch=<k>  windows per plan-barrier round;\n"
          "                      auto (default) adapts to the staged-mail signal and\n"
          "                      window event density, 1 = one drain per window\n"
          "                      (legacy), 2..16 = fixed batch. Metrics are byte-\n"
@@ -362,7 +361,7 @@ int Main(int argc, const char* const* argv) {
                  "with -DOCCAMY_TRACE=ON\n");
     return 2;
   }
-  if (tracing) obs::TraceRecorder::Get().Start(std::max(1, opts.shards));
+  if (tracing) obs::TraceRecorder::Get().Start(opts.shards);
 
   const SimResult result = RunScenario(opts);
   if (!result.ok) {

@@ -149,10 +149,10 @@ std::string SweepUsageString() {
          "  --out=<dir>               output directory (default: sweep_out)\n"
          "  --scale=<s>               smoke | default | full\n"
          "  --duration-ms=<ms>        traffic duration override\n"
-         "  --shards=<n>              run every point on the partition-parallel\n"
-         "                            engine with n shards each (results unchanged;\n"
-         "                            jobs is capped so jobs x shards fits the CPU)\n"
-         "  --window-batch=<k>        sharded engine: windows per plan barrier\n"
+         "  --shards=<n>              engine shards per point (default: 1; results\n"
+         "                            unchanged; jobs is capped so jobs x shards\n"
+         "                            fits the CPU)\n"
+         "  --window-batch=<k>        windows per plan barrier\n"
          "                            (auto = adaptive, 1 = legacy, 2..16 = fixed;\n"
          "                            results unchanged at every setting)\n"
          "  --faults=<spec>           fault schedule applied to every point (run\n"
