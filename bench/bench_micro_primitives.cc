@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/bm/abm.h"
 #include "src/bm/dynamic_threshold.h"
@@ -130,6 +131,53 @@ void BM_SimulatorChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_SimulatorChurn);
+
+// The queue shape of a star run: ~1,250 far timers (retransmit timers
+// re-armed by every new ACK, so about a third of the queued entries are
+// cancelled ones awaiting compaction), ~20 near packet-path events, and
+// ~28% of all pushes at zero delay. BM_EventQueueSchedule/Churn have no far
+// timers, so they miss what the tiered queue keeps out of the near heap.
+// One item = one pop plus the pushes and cancels it triggers.
+void BM_EventQueueTimerMix(benchmark::State& state) {
+  constexpr int kTimers = 1250;
+  constexpr int kNearEvents = 20;
+  constexpr Time kRto = Milliseconds(5);
+  constexpr uint64_t kPathSpread = 12 * kMicrosecond;  // longest packet-path delay
+  sim::EventQueue q;
+  Rng rng(7);
+  Time now = 0;
+  int fired = -1;  // set by the popped callback: a timer index, or -1 for a near event
+  std::vector<sim::EventHandle> timers(kTimers);
+  const auto arm = [&](int i) {
+    timers[static_cast<size_t>(i)] = q.Push(
+        now + kRto + static_cast<Time>(rng.UniformInt(kPathSpread)), [&fired, i] { fired = i; });
+  };
+  const auto schedule_near = [&](Time delay) { q.Push(now + delay, [&fired] { fired = -1; }); };
+  for (int i = 0; i < kTimers; ++i) arm(i);
+  for (int i = 0; i < kNearEvents; ++i) {
+    schedule_near(1 + static_cast<Time>(rng.UniformInt(kPathSpread)));
+  }
+  sim::Callback cb;
+  for (auto _ : state) {
+    now = q.PopLive(cb);
+    cb();
+    if (fired >= 0) {  // a timer expired: re-arm it
+      arm(fired);
+      continue;
+    }
+    // The packet path schedules its successor; 37% of these at zero delay
+    // make ~28% of all pushes once the re-arms below are counted.
+    const bool zero_delay = rng.UniformInt(100) < 37;
+    schedule_near(zero_delay ? 0 : 1 + static_cast<Time>(rng.UniformInt(kPathSpread)));
+    if (rng.UniformInt(3) == 0) {  // a new ACK: cancel and re-arm one timer
+      const int i = static_cast<int>(rng.UniformInt(kTimers));
+      timers[static_cast<size_t>(i)].Cancel();
+      arm(i);
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueTimerMix);
 
 void BM_TmEnqueueDequeue(benchmark::State& state) {
   sim::Simulator sim;

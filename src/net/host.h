@@ -70,12 +70,11 @@ class Host final : public Node {
   void StartTxIfIdle() {
     if (tx_busy_ || tx_queue_.empty()) return;
     tx_busy_ = true;
-    Packet pkt = std::move(tx_queue_.front());
+    tx_pkt_ = std::move(tx_queue_.front());
     tx_queue_.pop_front();
-    tx_queue_bytes_ -= pkt.size_bytes;
-    const Time tx_time = rate_.TxTime(pkt.size_bytes);
-    sim().After(tx_time, [this, p = std::move(pkt)]() mutable {
-      network()->DeliverAfter(id(), propagation_, peer_, std::move(p));
+    tx_queue_bytes_ -= tx_pkt_.size_bytes;
+    sim().After(rate_.TxTime(tx_pkt_.size_bytes), [this] {
+      network()->DeliverAfter(id(), propagation_, peer_, std::move(tx_pkt_));
       tx_busy_ = false;
       StartTxIfIdle();
     });
@@ -90,6 +89,9 @@ class Host final : public Node {
   int64_t tx_queue_bytes_ = 0;
   int64_t tx_queue_limit_;
   bool tx_busy_ = false;
+  // The packet on the wire while tx_busy_: the TX-complete event hands it
+  // to the network, so the closure only captures `this`.
+  Packet tx_pkt_;
 
   int64_t tx_drops_ = 0;
   int64_t rx_packets_ = 0;

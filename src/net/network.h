@@ -14,7 +14,10 @@
 // independent of the node->shard partition and of thread timing, which is
 // what keeps runs byte-identical for any shard count. Conservative
 // correctness requires every link's propagation delay to be >= the
-// engine's lookahead (checked per delivery).
+// engine's lookahead (checked per delivery). Each drained packet waits in
+// the destination shard's arrival slab until its arrival event fires; the
+// event carries just the slab index, because a packet does not fit
+// sim::Callback's inline buffer.
 //
 // Intra-node sharding (single-switch topologies). A node whose internal
 // structure decomposes into independent *lanes* — a shared-memory switch
@@ -334,22 +337,50 @@ class Network {
       return a.seq < b.seq;
     });
     sim::Simulator& sim = ssim_->shard(shard);
+    ShardState& state = shard_state_[static_cast<size_t>(shard)];
     for (Mail& mail : scratch) {
       if (drain_probe_) drain_probe_(mail.time, sim.now());
-      Node* dst = &node(mail.to.node);
-      const int port = mail.to.port;
-      sim.At(mail.time, [this, dst, port, p = std::move(mail.pkt)]() mutable {
-        if (p.corrupted) {
-          // The receiver's FCS check discards the mangled packet, on the
-          // destination lane's shard.
-          if (faults_ != nullptr) faults_->OnCorruptedArrival();
-          return;
-        }
-        dst->ReceivePacket(port, std::move(p));
-      });
+      uint32_t index;
+      if (state.free_arrivals.empty()) {
+        index = static_cast<uint32_t>(state.arrivals.size());
+        state.arrivals.emplace_back();
+      } else {
+        index = state.free_arrivals.back();
+        state.free_arrivals.pop_back();
+      }
+      Arrival& arrival = state.arrivals[index];
+      arrival.dst = &node(mail.to.node);
+      arrival.port = mail.to.port;
+      arrival.pkt = std::move(mail.pkt);
+      sim.At(mail.time, [this, shard, index] { Arrive(shard, index); });
     }
     scratch.clear();
   }
+
+  // Fires arrival `index` of `shard`'s slab: frees the slot, then hands the
+  // packet to its node (which may schedule, and so stage new arrivals).
+  void Arrive(int shard, uint32_t index) {
+    ShardState& state = shard_state_[static_cast<size_t>(shard)];
+    Arrival& arrival = state.arrivals[index];
+    Node* dst = arrival.dst;
+    const int port = arrival.port;
+    Packet pkt = std::move(arrival.pkt);
+    state.free_arrivals.push_back(index);
+    if (pkt.corrupted) {
+      // The receiver's FCS check discards the mangled packet, on the
+      // destination lane's shard.
+      if (faults_ != nullptr) faults_->OnCorruptedArrival();
+      return;
+    }
+    dst->ReceivePacket(port, std::move(pkt));
+  }
+
+  // A drained arrival waiting for its event: the packet and its endpoint.
+  struct Arrival {
+    Node* dst = nullptr;
+    int port = 0;
+    Packet pkt;
+  };
 
   // Per-shard mutable state, padded so shards never share a cache line.
   struct alignas(64) ShardState {
@@ -357,6 +388,12 @@ class Network {
     uint64_t staged_mail = 0;
     uint64_t drained_mail = 0;
     std::vector<Mail> drain_scratch;
+    // Arrival slab of the shard's inbound packets: DrainInbound parks each
+    // packet here and schedules an event carrying only its index, which
+    // Arrive recycles through free_arrivals. Lives on (and is only touched
+    // by) the destination shard, like the events that reference it.
+    std::vector<Arrival> arrivals;
+    std::vector<uint32_t> free_arrivals;
   };
 
   sim::ShardedSimulator* ssim_ = nullptr;

@@ -217,13 +217,13 @@ void SwitchNode::KickTx(int port) {
   auto pkt = part.DequeueForPort(local_port(port));
   if (!pkt.has_value()) return;
   state.busy = true;
-  const Time tx_time = state.rate.TxTime(pkt->size_bytes);
+  state.tx_pkt = std::move(*pkt);
   // All of this port's egress machinery lives on its partition's shard:
   // the TX-complete event runs there and the delivery is stamped with the
   // partition index as its source lane.
-  state.sim->After(tx_time, [this, port, p = std::move(*pkt)]() mutable {
+  state.sim->After(state.rate.TxTime(state.tx_pkt.size_bytes), [this, port] {
     PortState& s = ports_[static_cast<size_t>(port)];
-    network()->DeliverAfter(id(), s.propagation, s.peer, std::move(p), s.lane);
+    network()->DeliverAfter(id(), s.propagation, s.peer, std::move(s.tx_pkt), s.lane);
     s.busy = false;
     KickTx(port);
   });

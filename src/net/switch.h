@@ -182,6 +182,9 @@ class SwitchNode final : public Node {
     // TX path never does a lane lookup.
     sim::Simulator* sim = nullptr;
     int lane = 0;
+    // The packet being serialized while `busy`; the TX-complete event
+    // delivers it, so its closure only captures (this, port).
+    Packet tx_pkt;
   };
   // Per-lane mutable counters, padded so lanes on different shards never
   // share a cache line.

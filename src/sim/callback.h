@@ -1,15 +1,17 @@
 // Small-buffer-optimized callable for the simulation hot path.
 //
-// Replaces std::function<void()> on every scheduled event: typical captures
-// (a `this` pointer plus a couple of values) fit the 48-byte inline buffer,
-// so scheduling an event performs no heap allocation. Larger or
-// throwing-move callables fall back to one heap allocation, preserving
-// std::function generality. Move-only by design — events are scheduled once
-// and fired once, so copies would only hide accidental capture duplication.
+// Replaces std::function<void()> on every scheduled event: the captured
+// state always lives in the 48-byte inline buffer, so scheduling an event
+// never allocates. There is no heap fallback — a capture that does not fit
+// (or whose move may throw) is a compile error at the scheduling site, so
+// an allocation can never sneak back onto the per-event path. Bulky state
+// (a packet in flight, an arrival) belongs in its owner, and the closure
+// carries a pointer or a small index to it. Move-only by design — events
+// are scheduled once and fired once, so copies would only hide accidental
+// capture duplication.
 #pragma once
 
 #include <cstddef>
-#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -18,25 +20,31 @@ namespace occamy::sim {
 
 class Callback {
  public:
-  // Inline storage for the captured state. 48 bytes holds a `this` pointer
-  // plus five words of captures — every lambda scheduled by src/ fits.
+  // Inline storage for the captured state: a `this` pointer plus five
+  // words of captures. Packets (64 bytes) never ride in a closure; the
+  // host, switch port and network arrival slab keep them instead.
   static constexpr size_t kInlineBytes = 48;
 
+ private:
+  // The constructor's guard: D fits the buffer and relocates without
+  // throwing. Declared ahead of it so its template arguments can name it.
+  template <typename D>
+  static constexpr bool FitsInline() {
+    return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<D>;
+  }
+
+ public:
   Callback() = default;
   Callback(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
   template <typename F, typename D = std::decay_t<F>,
             typename = std::enable_if_t<!std::is_same_v<D, Callback> &&
                                         !std::is_same_v<D, std::nullptr_t> &&
-                                        std::is_invocable_r_v<void, D&>>>
+                                        std::is_invocable_r_v<void, D&> && FitsInline<D>()>>
   Callback(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (FitsInline<D>()) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(f));
-      ops_ = &kHeapOps<D>;
-    }
+    ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+    ops_ = &kOps<D>;
   }
 
   Callback(Callback&& other) noexcept { MoveFrom(other); }
@@ -61,9 +69,6 @@ class Callback {
 
   void operator()() { ops_->invoke(storage_); }
 
-  // True if the wrapped callable lives in the inline buffer (test hook).
-  bool IsInlineForTest() const { return ops_ != nullptr && ops_->inline_storage; }
-
  private:
   struct Ops {
     void (*invoke)(void*);
@@ -71,17 +76,10 @@ class Callback {
     // original (used when the Callback object itself is moved).
     void (*relocate)(void* from, void* to);
     void (*destroy)(void*);
-    bool inline_storage;
   };
 
   template <typename D>
-  static constexpr bool FitsInline() {
-    return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<D>;
-  }
-
-  template <typename D>
-  static constexpr Ops kInlineOps = {
+  static constexpr Ops kOps = {
       [](void* p) { (*std::launder(reinterpret_cast<D*>(p)))(); },
       [](void* from, void* to) {
         D* f = std::launder(reinterpret_cast<D*>(from));
@@ -89,15 +87,6 @@ class Callback {
         f->~D();
       },
       [](void* p) { std::launder(reinterpret_cast<D*>(p))->~D(); },
-      /*inline_storage=*/true,
-  };
-
-  template <typename D>
-  static constexpr Ops kHeapOps = {
-      [](void* p) { (**reinterpret_cast<D**>(p))(); },
-      [](void* from, void* to) { std::memcpy(to, from, sizeof(D*)); },
-      [](void* p) { delete *reinterpret_cast<D**>(p); },
-      /*inline_storage=*/false,
   };
 
   void MoveFrom(Callback& other) noexcept {

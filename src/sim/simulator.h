@@ -61,6 +61,10 @@ class Simulator {
 
   uint64_t processed_events() const { return processed_; }
   bool HasPendingEvents() const { return queue_.live_size() > 0; }
+  // Live (not cancelled) events waiting to run, and every event ever
+  // scheduled, cancelled or not.
+  size_t pending_events() const { return queue_.live_size(); }
+  uint64_t scheduled_events() const { return queue_.pushes(); }
 
   // True if the last Run/RunUntil exited via Stop().
   bool stopped() const { return stopped_; }

@@ -120,7 +120,9 @@ void Connection::HandleAck(const Packet& ack) {
       Complete();
       return;
     }
-    ArmRtoTimer();
+    // Data is still outstanding, so SendAvailable below re-arms the RTO
+    // timer; arming it here too would only push a timer that is always
+    // cancelled before it can fire.
   } else if (ack_seq == snd_una_ && snd_nxt_ > snd_una_) {
     // Duplicate ACK while data is outstanding.
     ++dup_acks_;

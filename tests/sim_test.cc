@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
+#include "src/util/rng.h"
 
 namespace occamy::sim {
 namespace {
@@ -251,24 +256,140 @@ TEST(EventQueueTest, NullCallbackIsRejectedAtPush) {
   EXPECT_DEATH(q.Push(1, nullptr), "null callback");
 }
 
+// Model check of the tiered queue: random interleavings of zero-delay,
+// near, far and horizon-straddling pushes, pushes from inside popped
+// callbacks, cancels of live, fired, cancelled and recycled handles, and
+// NextTime/PopLive, against a reference ordered by (time, push order).
+class EventQueueModel {
+ public:
+  static constexpr Time kHorizon = EventQueue::kFarHorizon;
+
+  // A time relative to the last pop, from one of the tier-relevant classes.
+  Time PickTime() {
+    switch (rng_.UniformInt(6)) {
+      case 0:
+      case 1:
+        return now_;  // same-time lane
+      case 2:
+        return now_ + 1 + static_cast<Time>(rng_.UniformInt(kHorizon - 1));  // near
+      case 3:
+        return now_ + kHorizon - 1 + static_cast<Time>(rng_.UniformInt(3));  // straddles
+      case 4:
+        return now_ + kHorizon + static_cast<Time>(rng_.UniformInt(10 * kHorizon));  // far
+      default:
+        return now_ + static_cast<Time>(rng_.UniformInt(4));  // ties across tiers
+    }
+  }
+
+  void Push(Time t) {
+    const int id = static_cast<int>(issued_.size());
+    // Some events schedule a successor from inside their callback.
+    const bool nested = rng_.UniformInt(4) == 0;
+    EventHandle h = queue_.Push(t, [this, id, nested] {
+      fired_ = id;
+      if (nested) Push(PickTime());
+    });
+    issued_.push_back(Issued{h, t, pushes_});
+    model_.emplace(std::make_pair(t, pushes_), id);
+    ++pushes_;
+  }
+
+  // Cancels a pending event half the time (enough to force compactions);
+  // otherwise any handle ever issued: live, fired, cancelled, or one whose
+  // arena slot a later event has recycled.
+  void Cancel() {
+    if (issued_.empty()) return;
+    int id = static_cast<int>(rng_.UniformInt(issued_.size()));
+    if (!model_.empty() && rng_.UniformInt(2) == 0) {
+      id = std::next(model_.begin(), static_cast<long>(rng_.UniformInt(model_.size())))->second;
+    }
+    Issued& pick = issued_[static_cast<size_t>(id)];
+    const bool live = model_.count({pick.time, pick.order}) > 0;
+    ASSERT_EQ(pick.handle.IsPending(), live);
+    ASSERT_EQ(pick.handle.Cancel(), live);
+    model_.erase({pick.time, pick.order});
+  }
+
+  void Pop() {
+    if (model_.empty()) {
+      ASSERT_TRUE(queue_.Empty());
+      return;
+    }
+    const auto head = model_.begin();
+    const Time want_time = head->first.first;
+    const int want_id = head->second;
+    model_.erase(head);
+    ASSERT_EQ(queue_.NextTime(), want_time);
+    Callback cb;
+    now_ = queue_.PopLive(cb);
+    ASSERT_EQ(now_, want_time);
+    cb();
+    ASSERT_EQ(fired_, want_id);
+    ++popped_;
+  }
+
+  void CheckSizes() const {
+    ASSERT_EQ(queue_.live_size(), model_.size());
+    ASSERT_LE(queue_.SizeForTest(), 2 * queue_.live_size() + 64);
+  }
+
+  Rng& rng() { return rng_; }
+  uint64_t popped() const { return popped_; }
+  uint64_t pushes() const { return pushes_; }
+
+ private:
+  struct Issued {
+    EventHandle handle;
+    Time time;
+    uint64_t order;
+  };
+
+  Rng rng_{20250917};
+  EventQueue queue_;
+  std::map<std::pair<Time, uint64_t>, int> model_;  // (time, push order) -> id
+  std::vector<Issued> issued_;                       // indexed by id
+  Time now_ = 0;
+  uint64_t pushes_ = 0;
+  uint64_t popped_ = 0;
+  int fired_ = -1;
+};
+
+TEST(EventQueueTest, RandomizedInterleavingsMatchSortedModel) {
+  EventQueueModel m;
+  for (int op = 0; op < 40000; ++op) {
+    // Alternate growing and shrinking phases so every tier both fills up
+    // (and compacts) and drains.
+    const bool grow = (op / 4000) % 2 == 0;
+    const uint64_t r = m.rng().UniformInt(20);
+    if (r < (grow ? 11u : 4u)) {
+      m.Push(m.PickTime());
+    } else if (r < (grow ? 16u : 8u)) {
+      ASSERT_NO_FATAL_FAILURE(m.Cancel());
+    } else {
+      ASSERT_NO_FATAL_FAILURE(m.Pop());
+    }
+    ASSERT_NO_FATAL_FAILURE(m.CheckSizes()) << "op " << op;
+  }
+  for (int op = 0; op < 100000; ++op) ASSERT_NO_FATAL_FAILURE(m.Pop());
+  ASSERT_NO_FATAL_FAILURE(m.CheckSizes());
+  EXPECT_GT(m.popped(), 10000u);
+  EXPECT_GT(m.pushes(), 15000u);
+}
+
 TEST(CallbackTest, InlineAndHeapStorage) {
   int hits = 0;
   Callback small([&hits] { ++hits; });
   EXPECT_TRUE(static_cast<bool>(small));
-  EXPECT_TRUE(small.IsInlineForTest()) << "one-pointer capture must stay inline";
   small();
   EXPECT_EQ(hits, 1);
 
-  struct Big {
+  // There is no heap fallback: a capture larger than the inline buffer
+  // does not compile.
+  struct Oversized {
     int64_t payload[16];  // 128 bytes: exceeds the 48-byte inline buffer
+    void operator()() {}
   };
-  Big big{};
-  big.payload[15] = 7;
-  int64_t seen = 0;
-  Callback large([big, &seen] { seen = big.payload[15]; });
-  EXPECT_FALSE(large.IsInlineForTest()) << "oversized capture must heap-allocate";
-  large();
-  EXPECT_EQ(seen, 7);
+  static_assert(!std::is_constructible_v<Callback, Oversized>);
 }
 
 TEST(CallbackTest, MoveTransfersOwnership) {

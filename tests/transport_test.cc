@@ -216,6 +216,32 @@ TEST(TransportTest, ManyParallelFlowsAllComplete) {
   EXPECT_EQ(h.manager->completions().Count(), static_cast<size_t>(n));
 }
 
+TEST(TransportTest, NewAckArmsTheRtoTimerOnce) {
+  Harness h;
+  const uint64_t id = h.Flow(0, 1, 100 * 1460);
+  h.sim.RunUntil(Nanoseconds(1));  // the flow starts; its first window is queued
+  Connection* conn = h.manager->FindConnection(id);
+  ASSERT_NE(conn, nullptr);
+  ASSERT_EQ(conn->snd_una(), 0);
+  ASSERT_TRUE(conn->rto_timer_pending());
+  sim::Simulator& sender = h.net.sim_of(h.topo.hosts[0]);
+  const size_t pending = sender.pending_events();
+  const uint64_t scheduled = sender.scheduled_events();
+
+  Packet ack;
+  ack.kind = PacketKind::kAck;
+  ack.flow_id = id;
+  ack.ack_seq = 1460;  // acknowledges the first segment
+  conn->HandleAck(ack);
+
+  ASSERT_EQ(conn->snd_una(), 1460);
+  EXPECT_TRUE(conn->rto_timer_pending());
+  // The re-armed timer replaces the cancelled one (the NIC is still busy,
+  // so the newly opened window only queues packets), and it took one push.
+  EXPECT_EQ(sender.pending_events(), pending);
+  EXPECT_EQ(sender.scheduled_events(), scheduled + 1);
+}
+
 TEST(TransportTest, SlowdownUsesIdealDuration) {
   Harness h;
   FlowParams p;
