@@ -9,13 +9,13 @@
 // grows, both schemes over-admit/over-reject around the threshold.
 #include <cstdio>
 
-#include "bench/common/burst_lab.h"
-#include "bench/common/scenarios.h"
 #include "bench/common/table.h"
+#include "src/exp/platform_runs.h"
 #include "src/workload/open_loop.h"
 
 using namespace occamy;
 using namespace occamy::bench;
+using namespace occamy::exp;
 
 int main() {
   PrintHeader("Stale-statistics ablation: burst loss rate vs SYNC interval");

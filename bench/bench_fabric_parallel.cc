@@ -11,10 +11,10 @@
 #include <string>
 #include <vector>
 
-#include "bench/common/fabric_run.h"
 #include "bench/common/parallel_gate.h"
+#include "src/exp/platform_runs.h"
 
-namespace occamy::bench {
+namespace occamy::exp {
 namespace {
 
 struct BenchConfig {
@@ -64,10 +64,11 @@ bool Identical(const FabricRunResult& a, const FabricRunResult& b, std::string& 
 }
 
 }  // namespace
-}  // namespace occamy::bench
+}  // namespace occamy::exp
 
 int main(int argc, char** argv) {
   using namespace occamy::bench;
+  using namespace occamy::exp;
 
   BenchConfig cfg;
   // --scale is this bench's extra flag; strip it before the shared parser.

@@ -6,11 +6,12 @@
 // release the buffer in time and the burst drops packets first.
 #include <cstdio>
 
-#include "bench/common/burst_lab.h"
 #include "bench/common/table.h"
+#include "src/exp/platform_runs.h"
 
 using namespace occamy;
 using namespace occamy::bench;
+using namespace occamy::exp;
 
 namespace {
 

@@ -13,10 +13,10 @@
 // records the hardware so the tracked ratio is interpretable.
 #include <string>
 
-#include "bench/common/dpdk_run.h"
 #include "bench/common/parallel_gate.h"
+#include "src/exp/platform_runs.h"
 
-namespace occamy::bench {
+namespace occamy::exp {
 namespace {
 
 DpdkRunSpec MakeSpec(double duration_ms, int shards, int window_batch) {
@@ -63,10 +63,11 @@ bool Identical(const DpdkRunResult& a, const DpdkRunResult& b, std::string& diff
 }
 
 }  // namespace
-}  // namespace occamy::bench
+}  // namespace occamy::exp
 
 int main(int argc, char** argv) {
   using namespace occamy::bench;
+  using namespace occamy::exp;
 
   ParallelGateOptions opts;
   double duration_ms = 40;

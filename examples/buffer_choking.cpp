@@ -12,13 +12,12 @@
 #include <memory>
 #include <vector>
 
-#include "bench/common/scenarios.h"
-#include "bench/common/sharded_run.h"
+#include "src/exp/platform_runs.h"
 #include "src/workload/open_loop.h"
 #include "src/workload/pregen.h"
 
 using namespace occamy;
-using namespace occamy::bench;
+using namespace occamy::exp;
 
 namespace {
 

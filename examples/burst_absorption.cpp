@@ -11,10 +11,10 @@
 #include <memory>
 #include <string>
 
-#include "bench/common/burst_lab.h"
+#include "src/exp/platform_runs.h"
 
 using namespace occamy;
-using namespace occamy::bench;
+using namespace occamy::exp;
 
 namespace {
 

@@ -7,10 +7,10 @@
 //   $ OCCAMY_BENCH_SCALE=smoke ./build/examples/datacenter_fabric
 #include <cstdio>
 
-#include "bench/common/fabric_run.h"
+#include "src/exp/platform_runs.h"
 
 using namespace occamy;
-using namespace occamy::bench;
+using namespace occamy::exp;
 
 int main() {
   std::printf("Leaf-spine fabric, web-search background @ 90%% load, incast queries\n");

@@ -12,8 +12,8 @@
 #include <memory>
 #include <vector>
 
-#include "bench/common/sharded_run.h"
 #include "src/core/occamy_bm.h"
+#include "src/exp/platform_runs.h"
 #include "src/net/topology.h"
 #include "src/transport/flow_manager.h"
 #include "src/workload/pregen.h"
@@ -66,7 +66,7 @@ int main() {
   simulator.RunUntil(Milliseconds(200));
   flows.MergeShardCompletions();
   const stats::CompletionCollector queries =
-      bench::DeriveIncastQct(incast, flow_ids, flows.completions(), nullptr);
+      exp::DeriveIncastQct(incast, flow_ids, flows.completions(), nullptr);
 
   const auto qct = queries.DurationsMs();
   std::printf("queries:       %zu issued, %zu completed\n", incast.queries.size(),

@@ -3,17 +3,12 @@
 #include <chrono>
 #include <cstdio>
 
-#include "bench/common/burst_lab.h"
-#include "bench/common/dpdk_run.h"
-#include "bench/common/fabric_run.h"
+#include "src/exp/platform_runs.h"
 #include "src/fault/fault_plan.h"
 
 namespace occamy::exp {
 
 namespace {
-
-using bench::BenchScale;
-using bench::Scheme;
 
 using PerfClock = std::chrono::steady_clock;
 
@@ -107,15 +102,13 @@ void AddCommonFields(Metrics& m, const ScenarioInfo& entry, const PointSpec& spe
 // they are excluded from the golden/differential fingerprint
 // (tests/differential.h VolatileMetricKeys), which is what lets every
 // batch setting map onto the same golden file.
-void AddEngineFields(Metrics& m, int shards, double parallel_efficiency,
-                     int window_batch, uint64_t windows_run,
-                     uint64_t windows_executed, uint64_t max_window_batch) {
-  m.Set("shards", int64_t{shards});
-  m.Set("parallel_efficiency", parallel_efficiency);
+void AddEngineFields(Metrics& m, const RunStats& r, int window_batch) {
+  m.Set("shards", int64_t{r.shards});
+  m.Set("parallel_efficiency", r.parallel_efficiency);
   m.Set("window_batch", int64_t{window_batch});
-  m.Set("windows_run", static_cast<int64_t>(windows_run));
-  m.Set("windows_executed", static_cast<int64_t>(windows_executed));
-  m.Set("max_window_batch", static_cast<int64_t>(max_window_batch));
+  m.Set("windows_run", r.windows_run);
+  m.Set("windows_executed", r.windows_executed);
+  m.Set("max_window_batch", r.max_window_batch);
 }
 
 // Perf telemetry appended to every point (schema v3): the deterministic
@@ -123,12 +116,12 @@ void AddEngineFields(Metrics& m, int shards, double parallel_efficiency,
 // events_per_sec vary run to run and machine to machine — the JSONL sink
 // carries them per run, but the CSV summary excludes them (see sinks.cc) so
 // sweep output stays byte-reproducible.
-void AddPerfFields(Metrics& m, int64_t sim_events, PerfClock::time_point start) {
+void AddPerfFields(Metrics& m, const RunStats& r, PerfClock::time_point start) {
   const double wall_ms =
       std::chrono::duration<double, std::milli>(PerfClock::now() - start).count();
-  m.Set("sim_events", sim_events);
+  m.Set("sim_events", r.sim_events);
   m.Set("wall_ms", wall_ms);
-  m.Set("events_per_sec", wall_ms > 0 ? static_cast<double>(sim_events) / wall_ms * 1e3
+  m.Set("events_per_sec", wall_ms > 0 ? static_cast<double>(r.sim_events) / wall_ms * 1e3
                                       : 0.0);
 }
 
@@ -139,31 +132,30 @@ void AddPerfFields(Metrics& m, int64_t sim_events, PerfClock::time_point start) 
 // commutative folds (obs::BufferObs / obs::CounterRegistry), so it is
 // byte-identical for any shard count >= 1 — the fields participate in the
 // golden and differential fingerprints.
-void AddObsFields(Metrics& m, const obs::BufferObs& obs, uint64_t mailbox_staged,
-                  uint64_t mailbox_drained, const fault::FaultCounters& faults) {
+void AddObsFields(Metrics& m, const RunStats& r) {
   obs::CounterRegistry reg;
-  reg.Add("mailbox_staged_events", static_cast<int64_t>(mailbox_staged));
-  reg.Add("mailbox_drained_events", static_cast<int64_t>(mailbox_drained));
+  reg.Add("mailbox_staged_events", static_cast<int64_t>(r.mailbox_staged));
+  reg.Add("mailbox_drained_events", static_cast<int64_t>(r.mailbox_drained));
   // Schema v7 fault counters: exact integers from the injector's per-shard
   // slots, byte-identical for any shard count — always present (0 when the
   // run is healthy) so the fingerprint shape does not depend on the plan.
-  reg.Add("faults_injected", faults.faults_injected);
-  reg.Add("packets_lost_injected", faults.packets_lost);
-  reg.Add("packets_corrupted", faults.packets_corrupted);
-  reg.Add("blackhole_drops", faults.blackhole_drops);
-  reg.Add("link_down_drops", faults.link_down_drops);
+  reg.Add("faults_injected", r.faults.faults_injected);
+  reg.Add("packets_lost_injected", r.faults.packets_lost);
+  reg.Add("packets_corrupted", r.faults.packets_corrupted);
+  reg.Add("blackhole_drops", r.faults.blackhole_drops);
+  reg.Add("link_down_drops", r.faults.link_down_drops);
   // Schema v8 self-healing counters, same contract (always present).
-  reg.Add("reroutes", faults.reroutes);
-  reg.Add("flushed_bytes_restart", faults.flushed_bytes_restart);
-  reg.Add("burst_loss_packets", faults.burst_loss_packets);
-  reg.Add("cp_stalled_steps", faults.cp_stalled_steps);
-  reg.Add("queue_delay_samples", static_cast<int64_t>(obs.all_delays.count()));
-  reg.Add("queues_with_drops", static_cast<int64_t>(obs.queues_with_drops));
-  reg.SetMax("queue_drops_max", static_cast<int64_t>(obs.queue_drops_max));
-  reg.SetMax("queue_delay_p50_ns", obs.all_delays.Quantile(0.5) / kNanosecond);
-  reg.SetMax("queue_delay_p99_ns", obs.all_delays.Quantile(0.99) / kNanosecond);
-  reg.SetMax("queue_delay_max_ns", obs.all_delays.max() / kNanosecond);
-  reg.SetMax("worst_queue_delay_p99_ns", obs.worst_queue_p99_ps / kNanosecond);
+  reg.Add("reroutes", r.faults.reroutes);
+  reg.Add("flushed_bytes_restart", r.faults.flushed_bytes_restart);
+  reg.Add("burst_loss_packets", r.faults.burst_loss_packets);
+  reg.Add("cp_stalled_steps", r.faults.cp_stalled_steps);
+  reg.Add("queue_delay_samples", static_cast<int64_t>(r.obs.all_delays.count()));
+  reg.Add("queues_with_drops", static_cast<int64_t>(r.obs.queues_with_drops));
+  reg.SetMax("queue_drops_max", static_cast<int64_t>(r.obs.queue_drops_max));
+  reg.SetMax("queue_delay_p50_ns", r.obs.all_delays.Quantile(0.5) / kNanosecond);
+  reg.SetMax("queue_delay_p99_ns", r.obs.all_delays.Quantile(0.99) / kNanosecond);
+  reg.SetMax("queue_delay_max_ns", r.obs.all_delays.max() / kNanosecond);
+  reg.SetMax("worst_queue_delay_p99_ns", r.obs.worst_queue_p99_ps / kNanosecond);
   // The registry keeps entries name-sorted, so emission order (and thus the
   // JSON text) is deterministic no matter how the fields above are added.
   for (const auto& e : reg.entries()) m.Set(e.name, e.value);
@@ -194,7 +186,7 @@ PointResult RunBurst(const ScenarioInfo& entry, Scheme scheme, const PointSpec& 
     return result;
   }
 
-  bench::BurstLabSpec run;
+  BurstLabSpec run;
   run.scheme = scheme;
   if (!spec.alphas.empty()) run.alpha = spec.alphas.front();
   if (spec.burst_bytes > 0) run.burst_bytes = spec.burst_bytes;
@@ -206,7 +198,7 @@ PointResult RunBurst(const ScenarioInfo& entry, Scheme scheme, const PointSpec& 
   run.faults = faults;
 
   const PerfClock::time_point start = PerfClock::now();
-  const bench::BurstLabResult r = bench::RunBurstLab(run);
+  const BurstLabResult r = RunBurstLab(run);
 
   Metrics& m = result.metrics;
   AddCommonFields(m, entry, spec, scale, faults);
@@ -219,10 +211,9 @@ PointResult RunBurst(const ScenarioInfo& entry, Scheme scheme, const PointSpec& 
   m.Set("long_lived_drops", r.long_lived_drops);
   m.Set("expelled", r.expelled);
   m.Set("buffer_bytes", run.buffer_bytes);
-  AddObsFields(m, r.obs, r.mailbox_staged, r.mailbox_drained, r.faults);
-  AddPerfFields(m, r.sim_events, start);
-  AddEngineFields(m, r.shards, r.parallel_efficiency, spec.window_batch,
-                  r.windows_run, r.windows_executed, r.max_window_batch);
+  AddObsFields(m, r);
+  AddPerfFields(m, r, start);
+  AddEngineFields(m, r, spec.window_batch);
   result.ok = true;
   return result;
 }
@@ -239,7 +230,7 @@ PointResult RunStar(const ScenarioInfo& entry, Scheme scheme, const PointSpec& s
     return result;
   }
 
-  bench::DpdkRunSpec run;
+  DpdkRunSpec run;
   run.scheme = scheme;
   run.alphas = spec.alphas;
   run.seed = spec.seed;
@@ -255,15 +246,15 @@ PointResult RunStar(const ScenarioInfo& entry, Scheme scheme, const PointSpec& s
       result.error = KnobError("bg_load", entry);
       return result;
     }
-    run.bg = bench::DpdkRunSpec::Bg::kNone;
+    run.bg = DpdkRunSpec::Bg::kNone;
   } else if (name == "burst_absorption") {
-    run.bg = bench::DpdkRunSpec::Bg::kWebSearchDctcp;
+    run.bg = DpdkRunSpec::Bg::kWebSearchDctcp;
     run.bg_load = 0.5;
   } else if (name == "isolation") {
     // Fig. 14: queries and CUBIC background in separate DRR queues.
     run.queues_per_port = 2;
     run.scheduler = tm::SchedulerKind::kDrr;
-    run.bg = bench::DpdkRunSpec::Bg::kWebSearchCubic;
+    run.bg = DpdkRunSpec::Bg::kWebSearchCubic;
     run.bg_load = 0.4;
     run.bg_tc = 1;
     run.query_tc = 0;
@@ -272,7 +263,7 @@ PointResult RunStar(const ScenarioInfo& entry, Scheme scheme, const PointSpec& s
     run.queues_per_port = 8;
     run.scheduler = tm::SchedulerKind::kStrictPriority;
     if (run.alphas.empty()) run.alphas = {8.0, 1, 1, 1, 1, 1, 1, 1};
-    run.bg = bench::DpdkRunSpec::Bg::kSaturatingLp;
+    run.bg = DpdkRunSpec::Bg::kSaturatingLp;
     run.bg_load = 1.0;
     run.query_tc = 0;
     run.query_bytes = run.buffer_bytes * 2;
@@ -285,11 +276,11 @@ PointResult RunStar(const ScenarioInfo& entry, Scheme scheme, const PointSpec& s
   }
 
   const PerfClock::time_point start = PerfClock::now();
-  const bench::DpdkRunResult r = bench::RunDpdk(run);
+  const DpdkRunResult r = RunDpdk(run);
 
   Metrics& m = result.metrics;
   AddCommonFields(m, entry, spec, scale, faults);
-  m.Set("bg_load", run.bg == bench::DpdkRunSpec::Bg::kNone ? 0.0 : run.bg_load);
+  m.Set("bg_load", run.bg == DpdkRunSpec::Bg::kNone ? 0.0 : run.bg_load);
   m.Set("query_bytes", run.query_bytes);
   m.Set("duration_ms", r.duration_ms);
   m.Set("drain_ms", r.drain_ms);
@@ -304,10 +295,9 @@ PointResult RunStar(const ScenarioInfo& entry, Scheme scheme, const PointSpec& s
   m.Set("drops", r.drops);
   m.Set("expelled", r.expelled);
   AddOccupancy(m, r.buffer_bytes, r.peak_occupancy_bytes);
-  AddObsFields(m, r.obs, r.mailbox_staged, r.mailbox_drained, r.faults);
-  AddPerfFields(m, r.sim_events, start);
-  AddEngineFields(m, r.shards, r.parallel_efficiency, spec.window_batch,
-                  r.windows_run, r.windows_executed, r.max_window_batch);
+  AddObsFields(m, r);
+  AddPerfFields(m, r, start);
+  AddEngineFields(m, r, spec.window_batch);
   result.delivered_by_ms = r.delivered_by_ms;
   result.ok = true;
   return result;
@@ -330,7 +320,7 @@ PointResult RunFabricScenario(const ScenarioInfo& entry, Scheme scheme,
     return result;
   }
 
-  bench::FabricRunSpec run;
+  FabricRunSpec run;
   run.scheme = scheme;
   run.alphas = spec.alphas;
   run.seed = spec.seed;
@@ -341,11 +331,11 @@ PointResult RunFabricScenario(const ScenarioInfo& entry, Scheme scheme,
 
   const std::string name = entry.name;
   if (name == "alltoall") {
-    run.pattern = bench::BgPattern::kAllToAll;
+    run.pattern = BgPattern::kAllToAll;
     run.bg_load = 0.6;
     run.bg_fixed_size = 256 * 1024;  // midpoint of the Fig. 18 sweep
   } else if (name == "allreduce") {
-    run.pattern = bench::BgPattern::kAllReduce;
+    run.pattern = BgPattern::kAllReduce;
     run.bg_load = 0.6;
     run.bg_fixed_size = 256 * 1024;
   } else {  // websearch
@@ -353,7 +343,7 @@ PointResult RunFabricScenario(const ScenarioInfo& entry, Scheme scheme,
       result.error = KnobError("bg_flow_bytes", entry);
       return result;
     }
-    run.pattern = bench::BgPattern::kWebSearch;
+    run.pattern = BgPattern::kWebSearch;
     run.bg_load = 0.9;
   }
   if (spec.bg_load > 0) run.bg_load = spec.bg_load;
@@ -361,12 +351,12 @@ PointResult RunFabricScenario(const ScenarioInfo& entry, Scheme scheme,
   if (spec.duration_ms > 0) run.duration = FromSeconds(spec.duration_ms / 1000.0);
 
   const PerfClock::time_point start = PerfClock::now();
-  const bench::FabricRunResult r = bench::RunFabric(run);
+  const FabricRunResult r = RunFabric(run);
 
   Metrics& m = result.metrics;
   AddCommonFields(m, entry, spec, scale, faults);
   m.Set("bg_load", run.bg_load);
-  if (run.pattern != bench::BgPattern::kWebSearch) {
+  if (run.pattern != BgPattern::kWebSearch) {
     m.Set("bg_flow_bytes", run.bg_fixed_size);
   }
   m.Set("duration_ms", r.duration_ms);
@@ -385,10 +375,9 @@ PointResult RunFabricScenario(const ScenarioInfo& entry, Scheme scheme,
   m.Set("drops", r.drops);
   m.Set("expelled", r.expelled);
   AddOccupancy(m, r.buffer_bytes, r.peak_occupancy_bytes);
-  AddObsFields(m, r.obs, r.mailbox_staged, r.mailbox_drained, r.faults);
-  AddPerfFields(m, r.sim_events, start);
-  AddEngineFields(m, r.shards, r.parallel_efficiency, spec.window_batch,
-                  r.windows_run, r.windows_executed, r.max_window_batch);
+  AddObsFields(m, r);
+  AddPerfFields(m, r, start);
+  AddEngineFields(m, r, spec.window_batch);
   result.delivered_by_ms = r.delivered_by_ms;
   result.ok = true;
   return result;
@@ -481,7 +470,7 @@ PointResult RunPoint(const PointSpec& spec) {
       return result;
     }
   }
-  const BenchScale scale = spec.scale.value_or(bench::GetBenchScale());
+  const BenchScale scale = spec.scale.value_or(GetBenchScale());
   const std::string platform = entry->platform;
   if (platform == "p4") return RunBurst(*entry, *scheme, spec, scale, faults);
   if (platform == "star") return RunStar(*entry, *scheme, spec, scale, faults);

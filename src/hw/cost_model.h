@@ -12,7 +12,7 @@
 // selector matches the paper's Table 1 within tens of percent; all other
 // module costs then follow from structure alone. This is an estimate, not a
 // synthesis result — relative ordering and scaling trends are what we
-// reproduce (documented in DESIGN.md / EXPERIMENTS.md).
+// reproduce (bench_table1_hw_cost prints the comparison).
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,7 @@
 // query_size/fanin bytes; the Query Completion Time is measured from query
 // issue until the last response flow finishes (the paper's QCT). Queries
 // arrive as a Poisson process. workload::PregenerateIncast (pregen.h)
-// expands a config into its flow schedule; bench::DeriveIncastQct derives
+// expands a config into its flow schedule; exp::DeriveIncastQct derives
 // QCT from the run's merged completion records.
 //
 // The (tiny) request packets are not simulated: response flows start at the

@@ -7,8 +7,8 @@
 // execution needs: every flow start can be bound to its source host's shard
 // before the run, so no workload object mutates shared state while shards
 // execute concurrently. Query completion times (QCT) are then derived after
-// the run from the merged flow-completion records (bench::DeriveIncastQct
-// in bench/common/sharded_run.h).
+// the run from the merged flow-completion records (exp::DeriveIncastQct
+// in src/exp/platform_runs.h).
 //
 // Draw order per arrival: pair/client first, then sizes (or the fanin
 // server shuffle), then the next-arrival gap. Tests pin this order, so a

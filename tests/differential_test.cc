@@ -11,9 +11,7 @@
 #include <utility>
 #include <vector>
 
-#include "bench/common/burst_lab.h"
-#include "bench/common/dpdk_run.h"
-#include "bench/common/fabric_run.h"
+#include "src/exp/platform_runs.h"
 
 namespace occamy {
 namespace {
@@ -23,7 +21,7 @@ exp::PointSpec SmokePoint(const std::string& scenario, const std::string& bm,
   exp::PointSpec spec;
   spec.scenario = scenario;
   spec.bm = bm;
-  spec.scale = bench::BenchScale::kSmoke;
+  spec.scale = exp::BenchScale::kSmoke;
   spec.duration_ms = duration_ms;
   spec.seed = testing::ShiftedSeed(seed);
   return spec;
@@ -86,17 +84,17 @@ TEST(DifferentialTest, SeedSweepShardCountInvariant) {
 
 // Worker threads on/off run the identical windowed algorithm: star engine.
 TEST(DifferentialTest, StarThreadedAndInlineExecutionMatch) {
-  bench::DpdkRunSpec run;
-  run.scheme = bench::Scheme::kOccamy;
-  run.scale = bench::BenchScale::kSmoke;
+  exp::DpdkRunSpec run;
+  run.scheme = exp::Scheme::kOccamy;
+  run.scale = exp::BenchScale::kSmoke;
   run.duration = run.max_duration = Milliseconds(2);
   run.min_queries = 0;
   run.seed = testing::ShiftedSeed(1);
   run.shards = 4;
   run.shard_threads = true;
-  const bench::DpdkRunResult threaded = bench::RunDpdk(run);
+  const exp::DpdkRunResult threaded = exp::RunDpdk(run);
   run.shard_threads = false;
-  const bench::DpdkRunResult inline_run = bench::RunDpdk(run);
+  const exp::DpdkRunResult inline_run = exp::RunDpdk(run);
   EXPECT_EQ(threaded.qct_avg_ms, inline_run.qct_avg_ms);
   EXPECT_EQ(threaded.fct_avg_ms, inline_run.fct_avg_ms);
   EXPECT_EQ(threaded.delivered_bytes, inline_run.delivered_bytes);
@@ -152,18 +150,18 @@ TEST(DifferentialTest, ShardCountInvariantAtFixedBatch) {
 // Threads on/off at a fixed batch > 1 run the identical batched protocol
 // (the inline path calls the same PlanBatch/StepBatch at the same points).
 TEST(DifferentialTest, StarThreadedAndInlineBatchedExecutionMatch) {
-  bench::DpdkRunSpec run;
-  run.scheme = bench::Scheme::kOccamy;
-  run.scale = bench::BenchScale::kSmoke;
+  exp::DpdkRunSpec run;
+  run.scheme = exp::Scheme::kOccamy;
+  run.scale = exp::BenchScale::kSmoke;
   run.duration = run.max_duration = Milliseconds(2);
   run.min_queries = 0;
   run.seed = testing::ShiftedSeed(1);
   run.shards = 4;
   run.window_batch = 4;
   run.shard_threads = true;
-  const bench::DpdkRunResult threaded = bench::RunDpdk(run);
+  const exp::DpdkRunResult threaded = exp::RunDpdk(run);
   run.shard_threads = false;
-  const bench::DpdkRunResult inline_run = bench::RunDpdk(run);
+  const exp::DpdkRunResult inline_run = exp::RunDpdk(run);
   EXPECT_EQ(threaded.qct_avg_ms, inline_run.qct_avg_ms);
   EXPECT_EQ(threaded.fct_avg_ms, inline_run.fct_avg_ms);
   EXPECT_EQ(threaded.delivered_bytes, inline_run.delivered_bytes);
@@ -180,17 +178,17 @@ TEST(DifferentialTest, StarThreadedAndInlineBatchedExecutionMatch) {
 
 // Fabric twin of the above, at the adaptive setting.
 TEST(DifferentialTest, FabricThreadedAndInlineBatchedExecutionMatch) {
-  bench::FabricRunSpec run;
-  run.scheme = bench::Scheme::kOccamy;
-  run.scale = bench::BenchScale::kSmoke;
+  exp::FabricRunSpec run;
+  run.scheme = exp::Scheme::kOccamy;
+  run.scale = exp::BenchScale::kSmoke;
   run.duration = Milliseconds(2);
   run.seed = testing::ShiftedSeed(1);
   run.shards = 2;
   run.window_batch = 0;  // adaptive
   run.shard_threads = true;
-  const bench::FabricRunResult threaded = bench::RunFabric(run);
+  const exp::FabricRunResult threaded = exp::RunFabric(run);
   run.shard_threads = false;
-  const bench::FabricRunResult inline_run = bench::RunFabric(run);
+  const exp::FabricRunResult inline_run = exp::RunFabric(run);
   EXPECT_EQ(threaded.delivered_bytes, inline_run.delivered_bytes);
   EXPECT_EQ(threaded.drops, inline_run.drops);
   EXPECT_EQ(threaded.sim_events, inline_run.sim_events);
@@ -259,15 +257,15 @@ TEST(DifferentialTest, MailboxStagedEqualsDrained) {
 
 // Same for the P4 burst lab, plus the engine-id fields.
 TEST(DifferentialTest, BurstLabThreadedAndInlineExecutionMatch) {
-  bench::BurstLabSpec spec;
-  spec.scheme = bench::Scheme::kOccamy;
+  exp::BurstLabSpec spec;
+  spec.scheme = exp::Scheme::kOccamy;
   spec.horizon = Milliseconds(1);
   spec.seed = testing::ShiftedSeed(1);
   spec.shards = 2;
   spec.shard_threads = true;
-  const bench::BurstLabResult threaded = bench::RunBurstLab(spec);
+  const exp::BurstLabResult threaded = exp::RunBurstLab(spec);
   spec.shard_threads = false;
-  const bench::BurstLabResult inline_run = bench::RunBurstLab(spec);
+  const exp::BurstLabResult inline_run = exp::RunBurstLab(spec);
   EXPECT_EQ(threaded.burst_packets, inline_run.burst_packets);
   EXPECT_EQ(threaded.burst_drops, inline_run.burst_drops);
   EXPECT_EQ(threaded.long_lived_drops, inline_run.long_lived_drops);
@@ -276,7 +274,7 @@ TEST(DifferentialTest, BurstLabThreadedAndInlineExecutionMatch) {
   EXPECT_GT(threaded.sim_events, 0);
   EXPECT_EQ(threaded.shards, 2);
   EXPECT_GT(threaded.parallel_efficiency, 0.0);
-  EXPECT_EQ(bench::RunBurstLab(bench::BurstLabSpec{}).shards, 1)
+  EXPECT_EQ(exp::RunBurstLab(exp::BurstLabSpec{}).shards, 1)
       << "the default spec runs one shard";
 }
 
@@ -285,15 +283,15 @@ TEST(DifferentialTest, BurstLabThreadedAndInlineExecutionMatch) {
 // identical at any shard count and window batch.
 TEST(DifferentialTest, BurstLabQueueTracesShardAndBatchInvariant) {
   const auto traces = [](int shards, int window_batch) {
-    bench::BurstLabSpec spec;
-    spec.scheme = bench::Scheme::kOccamy;
+    exp::BurstLabSpec spec;
+    spec.scheme = exp::Scheme::kOccamy;
     spec.alpha = 4.0;
     spec.horizon = Microseconds(900);
     spec.sample_every = Microseconds(25);
     spec.seed = testing::ShiftedSeed(1);
     spec.shards = shards;
     spec.window_batch = window_batch;
-    const bench::BurstLabResult r = bench::RunBurstLab(spec);
+    const exp::BurstLabResult r = exp::RunBurstLab(spec);
     std::vector<std::pair<Time, double>> out;
     for (const auto* series : {&r.q_long, &r.q_burst, &r.threshold}) {
       for (const auto& sample : series->samples()) out.emplace_back(sample.t, sample.value);

@@ -9,10 +9,10 @@
 // cannot express (thread on/off knob, engine-id fields).
 #include <gtest/gtest.h>
 
-#include "bench/common/fabric_run.h"
+#include "src/exp/platform_runs.h"
 #include "tests/differential.h"
 
-namespace occamy::bench {
+namespace occamy::exp {
 namespace {
 
 exp::PointSpec FabricPoint(const std::string& scenario, uint64_t seed = 1) {
@@ -96,4 +96,4 @@ TEST(FabricParallelTest, ShardedResultCarriesEngineFields) {
 }
 
 }  // namespace
-}  // namespace occamy::bench
+}  // namespace occamy::exp

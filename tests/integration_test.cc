@@ -4,12 +4,12 @@
 // system-wide conservation invariants.
 #include <gtest/gtest.h>
 
-#include "bench/common/scenarios.h"
-#include "bench/common/sharded_run.h"
+#include "src/exp/platform_runs.h"
+#include "src/workload/flow_size_dist.h"
 #include "src/workload/open_loop.h"
 #include "src/workload/pregen.h"
 
-namespace occamy::bench {
+namespace occamy::exp {
 namespace {
 
 // P4-testbed shape (§6.1): 2 fast senders, 2 slow receivers, one shared
@@ -141,7 +141,7 @@ TEST(ChokingTest, OccamyShieldsHighPriorityFromLowPriorityBuffer) {
   // Â§6.2 Fig. 15 shape: strict priority; low-priority traffic holds buffer
   // while draining slowly. The LP queues are kept saturated with open-loop
   // streams (kernel CUBIC with SACK sustains full LP queues in the paper's
-  // testbed; our simplified no-SACK transport cannot, see DESIGN.md). A
+  // testbed; our simplified no-SACK transport cannot). A
   // high-priority DCTCP incast then needs the buffer: Occamy expels the LP
   // over-allocation, DT cannot.
   auto run_qct = [](Scheme scheme, bool with_lp) {
@@ -256,4 +256,4 @@ TEST(FabricSmokeTest, WebSearchPlusIncastRunsToCompletion) {
 }
 
 }  // namespace
-}  // namespace occamy::bench
+}  // namespace occamy::exp

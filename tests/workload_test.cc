@@ -5,8 +5,8 @@
 #include <set>
 #include <vector>
 
-#include "bench/common/sharded_run.h"
 #include "src/bm/dynamic_threshold.h"
+#include "src/exp/platform_runs.h"
 #include "src/net/topology.h"
 #include "src/transport/flow_manager.h"
 #include "src/workload/collective.h"
@@ -259,7 +259,7 @@ struct WorkloadHarness {
     for (const auto& params : incast.flows) ids.push_back(manager->StartFlow(params));
     sim.Run();
     manager->MergeShardCompletions();
-    return bench::DeriveIncastQct(incast, ids, manager->completions(), nullptr);
+    return exp::DeriveIncastQct(incast, ids, manager->completions(), nullptr);
   }
 
   testing::OneShardSim sim;

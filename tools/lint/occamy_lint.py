@@ -40,6 +40,11 @@ make it hold *statically*, on every build, as named file-scoped rules:
                         direct obs:: call would survive the gate and tax
                         the zero-overhead guarantee BENCH_core.json's
                         trace_off_events_per_sec metric protects.
+  layering              #include of bench/, perfbench/, tools/ or tests/
+                        from anything under src/. The library sits below
+                        the benches, the benchmark, the CLI and the tests;
+                        an upward include makes it depend on code it cannot
+                        ship with.
 
 Escape hatch: a finding is suppressed by an inline annotation on the same
 line, or on a comment-only line immediately above:
@@ -91,6 +96,7 @@ RULES = [
     "hot-path-indirection",
     "pointer-keyed-order",
     "trace-macro-only",
+    "layering",
 ]
 
 
@@ -328,6 +334,30 @@ def check_trace_macro_only(relpath, code_lines):
     return findings
 
 
+# layering: the trees src/ must never include from.
+UPWARD_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"((?:bench|perfbench|tools|tests)/[^"]*)"')
+
+
+def check_layering(relpath, raw_lines, code_lines):
+    """Flags src/ includes of the trees layered above the library. Include
+    paths are string literals, so the path is read from the raw line; the
+    blanked line must still start with #include, which skips includes that
+    sit inside comments."""
+    findings = []
+    if not relpath.startswith("src/"):
+        return findings
+    for i, (raw, code) in enumerate(zip(raw_lines, code_lines), start=1):
+        m = UPWARD_INCLUDE_RE.match(raw)
+        if m and code.lstrip().startswith("#"):
+            findings.append(Finding(
+                "layering", relpath, i,
+                f"src/ includes {m.group(1)}: the library must not depend on "
+                "the benches, the benchmark, the CLI or the tests; move the "
+                "code it needs into src/",
+                raw))
+    return findings
+
+
 def lint_source(relpath, raw_text, extra_decl_text=""):
     """Lints one file's raw text. `extra_decl_text` supplies blanked source
     of directly-included repo headers so member declarations in a .h are
@@ -343,6 +373,7 @@ def lint_source(relpath, raw_text, extra_decl_text=""):
     findings += check_hot_path(relpath, code_lines)
     findings += check_pointer_keyed(relpath, code_lines)
     findings += check_trace_macro_only(relpath, code_lines)
+    findings += check_layering(relpath, raw_lines, code_lines)
 
     kept = []
     for f in findings:
@@ -405,6 +436,7 @@ def self_test(fixtures_dir):
             "hot-path-indirection": ["src/core/fixture.cc"],
             "pointer-keyed-order": ["src/net/fixture.cc"],
             "trace-macro-only": ["src/buffer/fixture.cc"],
+            "layering": ["src/exp/fixture.cc", "src/net/fixture.h"],
         }[rule]
 
         for scoped_path in scoped_paths:
