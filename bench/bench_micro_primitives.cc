@@ -1,71 +1,21 @@
 // Micro-benchmarks (google-benchmark): per-operation cost of the hot-path
-// primitives — BM admission decisions, the head-drop selector, the
-// round-robin arbiter, the event queue, and the comparator-tree MaxFinder
-// that Occamy avoids.
+// primitives — the head-drop selector, the round-robin arbiter, the event
+// queue, the TM datapath, and the comparator-tree MaxFinder that Occamy
+// avoids. BM admission is timed per scheme against a live TmPartition by
+// perfbench's replay rows (bm.<scheme>.admit_ns.q{8,64,512}).
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <vector>
 
-#include "src/bm/abm.h"
-#include "src/bm/dynamic_threshold.h"
-#include "src/bm/pushout.h"
 #include "src/core/head_drop_selector.h"
 #include "src/core/occamy_bm.h"
 #include "src/hw/circuits.h"
 #include "src/sim/simulator.h"
 #include "src/tm/traffic_manager.h"
-#include "tests/fakes.h"
 
 namespace occamy {
 namespace {
-
-void FillRandom(test::FakeTmView& tm, Rng& rng, int64_t buffer) {
-  for (int q = 0; q < tm.num_queues(); ++q) {
-    tm.set_qlen(q, static_cast<int64_t>(rng.UniformInt(
-                       static_cast<uint64_t>(buffer / tm.num_queues()))));
-  }
-}
-
-void BM_DtAdmit(benchmark::State& state) {
-  const int queues = static_cast<int>(state.range(0));
-  test::FakeTmView tm(16 << 20, queues);
-  bm::DynamicThreshold dt;
-  Rng rng(1);
-  FillRandom(tm, rng, 16 << 20);
-  int q = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dt.Admit(tm, q, 1600));
-    q = (q + 1) % queues;
-  }
-}
-BENCHMARK(BM_DtAdmit)->Arg(8)->Arg(64)->Arg(512);
-
-void BM_AbmAdmit(benchmark::State& state) {
-  const int queues = static_cast<int>(state.range(0));
-  test::FakeTmView tm(16 << 20, queues);
-  bm::Abm abm;
-  Rng rng(1);
-  FillRandom(tm, rng, 16 << 20);
-  int q = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(abm.Admit(tm, q, 1600));
-    q = (q + 1) % queues;
-  }
-}
-BENCHMARK(BM_AbmAdmit)->Arg(8)->Arg(64)->Arg(512);
-
-void BM_PushoutVictim(benchmark::State& state) {
-  const int queues = static_cast<int>(state.range(0));
-  test::FakeTmView tm(16 << 20, queues);
-  bm::Pushout pushout;
-  Rng rng(1);
-  FillRandom(tm, rng, 16 << 20);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pushout.EvictVictim(tm, 0));
-  }
-}
-BENCHMARK(BM_PushoutVictim)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_SelectorRefreshAndSelect(benchmark::State& state) {
   const int queues = static_cast<int>(state.range(0));

@@ -8,6 +8,7 @@
 // seed-dependent nondeterminism surfaces before merge.
 #include "tests/differential.h"
 
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -82,6 +83,53 @@ TEST(DifferentialTest, SeedSweepShardCountInvariant) {
 
 // ---- runner-level knobs the PointSpec harness cannot reach ----
 
+// Every deterministic field of a star result, as one comparable tuple. The
+// engine fields that vary with shards / window batch by design (shards,
+// windows_*, parallel_efficiency) are left out.
+auto DeterministicFields(const exp::DpdkRunResult& r) {
+  const fault::FaultCounters& f = r.faults;
+  const obs::DelayHistogram& d = r.obs.all_delays;
+  return std::tuple(r.sim_events, r.mailbox_staged, r.mailbox_drained, r.drops, r.expelled,
+                    r.peak_occupancy_bytes, r.delivered_bytes, r.delivered_by_ms, d.count(),
+                    d.Quantile(0.5), d.Quantile(0.99), d.max(), r.obs.worst_queue_p99_ps,
+                    r.obs.queue_drops_max, r.obs.queues_with_drops, f.faults_injected,
+                    f.packets_lost, f.packets_corrupted, f.blackhole_drops, f.link_down_drops,
+                    f.reroutes, f.flushed_bytes_restart, f.burst_loss_packets,
+                    f.cp_stalled_steps, r.qct_avg_ms, r.qct_p99_ms, r.fct_avg_ms,
+                    r.fct_small_p99_ms, r.queries, r.rtos, r.buffer_bytes, r.duration_ms,
+                    r.drain_ms);
+}
+
+void ExpectSameDpdkResult(const exp::DpdkRunResult& a, const exp::DpdkRunResult& b) {
+  EXPECT_GT(a.sim_events, 0);
+  EXPECT_EQ(DeterministicFields(a), DeterministicFields(b));
+}
+
+// A multi-partition star (16 hosts, 4 ports per partition = 4 lanes) under
+// closed-loop DCTCP background plus incast: lane sharding at 4 shards must
+// match one shard field for field, and the adaptive window schedule must
+// take strictly fewer barrier rounds than batch=1 on the same run.
+TEST(DifferentialTest, MultiPartitionStarShardAndBatchInvariant) {
+  exp::DpdkRunSpec run;
+  run.scheme = exp::Scheme::kOccamy;
+  run.num_hosts = 16;
+  run.ports_per_partition = 4;
+  run.scale = exp::BenchScale::kSmoke;
+  run.duration = run.max_duration = Milliseconds(2);
+  run.min_queries = 0;
+  run.seed = testing::ShiftedSeed(1);
+  const exp::DpdkRunResult oracle = exp::RunDpdk(run);
+  run.shards = 4;
+  const exp::DpdkRunResult adaptive = exp::RunDpdk(run);
+  run.window_batch = 1;
+  const exp::DpdkRunResult batch1 = exp::RunDpdk(run);
+  ExpectSameDpdkResult(oracle, adaptive);
+  ExpectSameDpdkResult(oracle, batch1);
+  EXPECT_GT(oracle.queries, 0);
+  EXPECT_GT(oracle.delivered_bytes, 0);
+  EXPECT_LT(adaptive.windows_run, batch1.windows_run);
+}
+
 // Worker threads on/off run the identical windowed algorithm: star engine.
 TEST(DifferentialTest, StarThreadedAndInlineExecutionMatch) {
   exp::DpdkRunSpec run;
@@ -95,13 +143,7 @@ TEST(DifferentialTest, StarThreadedAndInlineExecutionMatch) {
   const exp::DpdkRunResult threaded = exp::RunDpdk(run);
   run.shard_threads = false;
   const exp::DpdkRunResult inline_run = exp::RunDpdk(run);
-  EXPECT_EQ(threaded.qct_avg_ms, inline_run.qct_avg_ms);
-  EXPECT_EQ(threaded.fct_avg_ms, inline_run.fct_avg_ms);
-  EXPECT_EQ(threaded.delivered_bytes, inline_run.delivered_bytes);
-  EXPECT_EQ(threaded.drops, inline_run.drops);
-  EXPECT_EQ(threaded.rtos, inline_run.rtos);
-  EXPECT_EQ(threaded.sim_events, inline_run.sim_events);
-  EXPECT_GT(threaded.sim_events, 0);
+  ExpectSameDpdkResult(threaded, inline_run);
 }
 
 // ---- window batching (adaptive drain scheduling) ----
@@ -162,13 +204,7 @@ TEST(DifferentialTest, StarThreadedAndInlineBatchedExecutionMatch) {
   const exp::DpdkRunResult threaded = exp::RunDpdk(run);
   run.shard_threads = false;
   const exp::DpdkRunResult inline_run = exp::RunDpdk(run);
-  EXPECT_EQ(threaded.qct_avg_ms, inline_run.qct_avg_ms);
-  EXPECT_EQ(threaded.fct_avg_ms, inline_run.fct_avg_ms);
-  EXPECT_EQ(threaded.delivered_bytes, inline_run.delivered_bytes);
-  EXPECT_EQ(threaded.drops, inline_run.drops);
-  EXPECT_EQ(threaded.rtos, inline_run.rtos);
-  EXPECT_EQ(threaded.sim_events, inline_run.sim_events);
-  EXPECT_GT(threaded.sim_events, 0);
+  ExpectSameDpdkResult(threaded, inline_run);
   // The batch schedule itself is part of the determinism contract: both
   // paths must plan the same barrier rounds, not just the same metrics.
   EXPECT_EQ(threaded.windows_run, inline_run.windows_run);

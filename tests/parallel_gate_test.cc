@@ -1,9 +1,8 @@
 // Flag parsing for the parallel-engine gate benches
-// (bench/common/parallel_gate.h). The gate flags decide whether a perf
-// regression fails CI, so a typo'd value must be a hard usage error — in
-// particular --min-speedup, where the old atof path would have silently
-// parsed garbage as 0 and turned the gate into "report only"
-// (cert-err34-c).
+// (bench/common/parallel_gate.h). The gate flag decides whether a perf
+// regression fails CI, so a typo'd value must be a hard usage error — an
+// atof parse would silently read garbage as 0 and turn the gate into
+// "report only" (cert-err34-c).
 #include "bench/common/parallel_gate.h"
 
 #include <gtest/gtest.h>
@@ -34,60 +33,42 @@ TEST(ParseGateDouble, RejectsGarbageWithoutClobberingOutput) {
 }
 
 // Runs ParseParallelGateArgs over a flag list. gtest owns argv[0].
-bool Parse(std::vector<std::string> args, ParallelGateOptions& opts,
-           int* quick_calls = nullptr) {
+bool Parse(std::vector<std::string> args, double& min_speedup_per_core) {
   args.insert(args.begin(), "gate_test");
   std::vector<char*> argv;
   argv.reserve(args.size());
   for (std::string& a : args) argv.push_back(a.data());
-  return ParseParallelGateArgs(static_cast<int>(argv.size()), argv.data(), opts,
-                               "gate_test", [&] {
-                                 if (quick_calls != nullptr) ++*quick_calls;
-                               });
+  return ParseParallelGateArgs(static_cast<int>(argv.size()), argv.data(),
+                               min_speedup_per_core, "gate_test");
 }
 
 TEST(ParseParallelGateArgs, ParsesEveryFlag) {
-  ParallelGateOptions opts;
-  int quick_calls = 0;
-  ASSERT_TRUE(Parse({"--json=/tmp/out.json", "--shards=8", "--window-batch=4",
-                     "--min-speedup=1.25", "--min-speedup-per-core=0.5",
-                     "--quick"},
-                    opts, &quick_calls));
-  EXPECT_EQ(opts.json_path, "/tmp/out.json");
-  EXPECT_EQ(opts.shards, 8);
-  EXPECT_EQ(opts.window_batch, 4);
-  EXPECT_EQ(opts.min_speedup, 1.25);
-  EXPECT_EQ(opts.min_speedup_per_core, 0.5);
-  EXPECT_EQ(opts.rounds, 1);
-  EXPECT_EQ(quick_calls, 1);
+  double per_core = 0;
+  ASSERT_TRUE(Parse({"--min-speedup-per-core=0.5"}, per_core));
+  EXPECT_EQ(per_core, 0.5);
+  EXPECT_TRUE(Parse({}, per_core));
 }
 
-TEST(ParseParallelGateArgs, WindowBatchAutoResetsAFixedSetting) {
-  ParallelGateOptions opts;
-  opts.window_batch = 7;
-  ASSERT_TRUE(Parse({"--window-batch=auto"}, opts));
-  EXPECT_EQ(opts.window_batch, 0);
-}
-
+// Any flag but --min-speedup-per-core is a usage error, so an invocation
+// that names another knob fails instead of silently running the fixed
+// configuration.
 TEST(ParseParallelGateArgs, RejectsBadValues) {
   for (const char* bad :
-       {"--shards=1", "--shards=65", "--shards=abc", "--window-batch=0",
-        "--window-batch=17", "--window-batch=4x", "--window-batch=",
-        "--min-speedup=fast", "--min-speedup=-1", "--min-speedup=nan",
-        "--min-speedup-per-core=inf", "--min-speedup-per-core=0.5x",
-        "--not-a-flag"}) {
-    ParallelGateOptions opts;
-    EXPECT_FALSE(Parse({bad}, opts)) << "flag: " << bad;
+       {"--min-speedup-per-core=inf", "--min-speedup-per-core=0.5x",
+        "--min-speedup-per-core=", "--min-speedup-per-core=-1", "--shards=4",
+        "--window-batch=auto", "--min-speedup=1", "--json=out.json", "--quick",
+        "--scale=smoke", "--not-a-flag"}) {
+    double per_core = 0;
+    EXPECT_FALSE(Parse({bad}, per_core)) << "flag: " << bad;
   }
 }
 
 // The strict parse must not leave a half-applied gate behind: a rejected
-// --min-speedup keeps the previous (default, report-only) value.
+// value keeps the previous (default, report-only) floor.
 TEST(ParseParallelGateArgs, RejectedGateFlagLeavesOptionsUntouched) {
-  ParallelGateOptions opts;
-  EXPECT_FALSE(Parse({"--min-speedup=1.5oops"}, opts));
-  EXPECT_EQ(opts.min_speedup, 0.0);
-  EXPECT_EQ(opts.min_speedup_per_core, 0.0);
+  double per_core = 0;
+  EXPECT_FALSE(Parse({"--min-speedup-per-core=1.5oops"}, per_core));
+  EXPECT_EQ(per_core, 0.0);
 }
 
 }  // namespace

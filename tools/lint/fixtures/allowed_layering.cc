@@ -7,7 +7,7 @@
 #include <cstdint>
 
 // occamy-lint: allow(layering) fixture only: exercises the suppression path
-#include "perfbench/rigs.h"
+#include "tests/fakes.h"
 
 namespace occamy::exp {
 

@@ -1,6 +1,7 @@
-// Fixture: library code reaching up into the trees layered above it
-// (scoped under src/ by the self-test). src/ must build without bench/,
-// perfbench/, tools/ or tests/.
+// Fixture: code reaching up into the trees layered above it. Under src/
+// (the self-test fakes the path) both repo includes below are flagged: src/
+// must build without bench/, perfbench/, tools/ or tests/. Under bench/ or
+// examples/ only the tests/ include is: those may use bench/common and src/.
 #include <cstdint>
 
 #include "bench/common/table.h"

@@ -38,13 +38,15 @@ make it hold *statically*, on every build, as named file-scoped rules:
                         OCCAMY_TRACE_* macros (src/obs/trace.h), which
                         compile to nothing in OCCAMY_TRACE=OFF builds; a
                         direct obs:: call would survive the gate and tax
-                        the zero-overhead guarantee BENCH_core.json's
-                        trace_off_events_per_sec metric protects.
+                        the tracing-free OFF build CI's perf-smoke job
+                        measures.
   layering              #include of bench/, perfbench/, tools/ or tests/
-                        from anything under src/. The library sits below
-                        the benches, the benchmark, the CLI and the tests;
-                        an upward include makes it depend on code it cannot
-                        ship with.
+                        from anything under src/, and of tests/ from
+                        bench/ or examples/. The library sits below the
+                        benches, the benchmark, the CLI and the tests; an
+                        upward include makes it depend on code it cannot
+                        ship with, and a bench built on a test fake times
+                        the fake.
 
 Escape hatch: a finding is suppressed by an inline annotation on the same
 line, or on a comment-only line immediately above:
@@ -68,8 +70,8 @@ import re
 import sys
 
 # Directories scanned for the file-scoped rules (relative to --root).
-SCAN_DIRS = ["src", "bench/common"]
-SOURCE_EXTS = (".h", ".cc")
+SCAN_DIRS = ["src", "bench", "examples"]
+SOURCE_EXTS = (".h", ".cc", ".cpp")
 
 # raw-random applies where seeded determinism is load-bearing. src/fault is
 # in scope: fault draws must come from the plan's seeded Rng, never ambient
@@ -334,27 +336,34 @@ def check_trace_macro_only(relpath, code_lines):
     return findings
 
 
-# layering: the trees src/ must never include from.
-UPWARD_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"((?:bench|perfbench|tools|tests)/[^"]*)"')
+# layering: per layer, the trees it must never include from, and why.
+def upward_include_re(trees):
+    return re.compile(r'^\s*#\s*include\s*"((?:%s)/[^"]*)"' % trees)
+
+
+LAYERING = [
+    ("src/", upward_include_re("bench|perfbench|tools|tests"),
+     "the library must not depend on the benches, the benchmark, the CLI or "
+     "the tests; move the code it needs into src/"),
+    (("bench/", "examples/"), upward_include_re("tests"),
+     "benches and examples run production code, never test fakes"),
+]
 
 
 def check_layering(relpath, raw_lines, code_lines):
-    """Flags src/ includes of the trees layered above the library. Include
+    """Flags includes of the trees layered above the file's own. Include
     paths are string literals, so the path is read from the raw line; the
     blanked line must still start with #include, which skips includes that
     sit inside comments."""
     findings = []
-    if not relpath.startswith("src/"):
-        return findings
-    for i, (raw, code) in enumerate(zip(raw_lines, code_lines), start=1):
-        m = UPWARD_INCLUDE_RE.match(raw)
-        if m and code.lstrip().startswith("#"):
-            findings.append(Finding(
-                "layering", relpath, i,
-                f"src/ includes {m.group(1)}: the library must not depend on "
-                "the benches, the benchmark, the CLI or the tests; move the "
-                "code it needs into src/",
-                raw))
+    for layer, pattern, why in LAYERING:
+        if not relpath.startswith(layer):
+            continue
+        for i, (raw, code) in enumerate(zip(raw_lines, code_lines), start=1):
+            m = pattern.match(raw)
+            if m and code.lstrip().startswith("#"):
+                findings.append(Finding(
+                    "layering", relpath, i, f"includes {m.group(1)}: {why}", raw))
     return findings
 
 
@@ -436,7 +445,8 @@ def self_test(fixtures_dir):
             "hot-path-indirection": ["src/core/fixture.cc"],
             "pointer-keyed-order": ["src/net/fixture.cc"],
             "trace-macro-only": ["src/buffer/fixture.cc"],
-            "layering": ["src/exp/fixture.cc", "src/net/fixture.h"],
+            "layering": ["src/exp/fixture.cc", "src/net/fixture.h", "bench/fixture.cc",
+                         "examples/fixture.cpp"],
         }[rule]
 
         for scoped_path in scoped_paths:
@@ -467,6 +477,13 @@ def self_test(fixtures_dir):
                 failures.append(
                     f"{rule}: annotated fixture passed even with annotations "
                     f"stripped under {scoped_path}")
+
+    # layering is direction-aware: bench/ may include bench/common, src/ not.
+    with open(os.path.join(fixtures_dir, "violate_layering.cc")) as f:
+        bad_text = f.read()
+    for scoped_path, want in (("src/exp/fixture.cc", 2), ("bench/fixture.cc", 1)):
+        if len(lint_source(scoped_path, bad_text)) != want:
+            failures.append(f"layering: want {want} finding(s) under {scoped_path}")
 
     for failure in failures:
         print(f"occamy_lint self-test: FAIL: {failure}", file=sys.stderr)
