@@ -10,13 +10,12 @@
 #include <cstdio>
 #include <memory>
 
-#include "bench/common/table.h"
 #include "src/bm/dynamic_threshold.h"
 #include "src/exp/platform_runs.h"
 #include "src/tm/traffic_manager.h"
+#include "src/util/table.h"
 
 using namespace occamy;
-using namespace occamy::bench;
 using namespace occamy::exp;
 
 namespace {

@@ -10,11 +10,10 @@
 // TDT (traffic-aware DT), and QPO (quasi-pushout).
 #include <cstdio>
 
-#include "bench/common/table.h"
 #include "src/exp/platform_runs.h"
+#include "src/util/table.h"
 
 using namespace occamy;
-using namespace occamy::bench;
 using namespace occamy::exp;
 
 int main() {

@@ -9,12 +9,11 @@
 // grows, both schemes over-admit/over-reject around the threshold.
 #include <cstdio>
 
-#include "bench/common/table.h"
 #include "src/exp/platform_runs.h"
+#include "src/util/table.h"
 #include "src/workload/open_loop.h"
 
 using namespace occamy;
-using namespace occamy::bench;
 using namespace occamy::exp;
 
 int main() {

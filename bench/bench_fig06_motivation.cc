@@ -11,13 +11,12 @@
 #include <cstdio>
 #include <memory>
 
-#include "bench/common/table.h"
 #include "src/exp/platform_runs.h"
+#include "src/util/table.h"
 #include "src/workload/open_loop.h"
 #include "src/workload/pregen.h"
 
 using namespace occamy;
-using namespace occamy::bench;
 using namespace occamy::exp;
 
 namespace {

@@ -8,13 +8,12 @@
 // i.e. utilization ~62% — redundant bandwidth exists for expulsion.
 #include <cstdio>
 
-#include "bench/common/table.h"
 #include "src/exp/platform_runs.h"
+#include "src/util/table.h"
 #include "src/workload/flow_size_dist.h"
 #include "src/workload/pregen.h"
 
 using namespace occamy;
-using namespace occamy::bench;
 using namespace occamy::exp;
 
 namespace {

@@ -6,11 +6,10 @@
 // release the buffer in time and the burst drops packets first.
 #include <cstdio>
 
-#include "bench/common/table.h"
 #include "src/exp/platform_runs.h"
+#include "src/util/table.h"
 
 using namespace occamy;
-using namespace occamy::bench;
 using namespace occamy::exp;
 
 namespace {

@@ -7,11 +7,10 @@
 // background traffic is essentially unaffected by the BM choice.
 #include <cstdio>
 
-#include "bench/common/table.h"
 #include "src/exp/platform_runs.h"
+#include "src/util/table.h"
 
 using namespace occamy;
-using namespace occamy::bench;
 using namespace occamy::exp;
 
 int main() {

@@ -6,11 +6,10 @@
 // Occamy keeps its advantage over DT/ABM for both queries and background.
 #include <cstdio>
 
-#include "bench/common/table.h"
 #include "src/exp/platform_runs.h"
+#include "src/util/table.h"
 
 using namespace occamy;
-using namespace occamy::bench;
 using namespace occamy::exp;
 
 int main() {

@@ -6,11 +6,10 @@
 // better than DT at 3.44KB and ~40.3% at 9.6KB).
 #include <cstdio>
 
-#include "bench/common/table.h"
 #include "src/exp/platform_runs.h"
+#include "src/util/table.h"
 
 using namespace occamy;
-using namespace occamy::bench;
 using namespace occamy::exp;
 
 int main() {

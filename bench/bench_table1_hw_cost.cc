@@ -6,12 +6,11 @@
 // why Pushout's selector was considered impractical (§2.2, Difficulty 3).
 #include <cstdio>
 
-#include "bench/common/table.h"
 #include "src/hw/circuits.h"
 #include "src/hw/cost_model.h"
+#include "src/util/table.h"
 
 using namespace occamy;
-using namespace occamy::bench;
 
 int main() {
   PrintHeader("Table 1: hardware cost (model vs paper; 64 queues, 17-bit qlen)");

@@ -23,8 +23,8 @@
 #include <string>
 #include <thread>
 
-#include "bench/common/table.h"
 #include "src/exp/platform_runs.h"
+#include "src/util/table.h"
 
 namespace occamy::bench {
 

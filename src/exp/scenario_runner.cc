@@ -60,6 +60,16 @@ std::string KnobError(const char* knob, const ScenarioInfo& entry) {
          "' (platform " + entry.platform + ")";
 }
 
+// A per-class alpha override must be one alpha (broadcast to every traffic
+// class, see ApplyScheme) or exactly one alpha per class; "" when it is.
+std::string AlphasError(const std::vector<double>& alphas, int classes,
+                        const ScenarioInfo& entry) {
+  if (alphas.size() <= 1 || alphas.size() == static_cast<size_t>(classes)) return "";
+  return std::to_string(alphas.size()) + " alphas for scenario '" + entry.name +
+         "', which has " + std::to_string(classes) +
+         " traffic class(es): give one alpha or one per class";
+}
+
 // The effective fault schedule of a point: the explicit `faults` string
 // plus the `loss_rate` shorthand appended as an i.i.d. loss fault. Empty =
 // healthy run.
@@ -185,6 +195,8 @@ PointResult RunBurst(const ScenarioInfo& entry, Scheme scheme, const PointSpec& 
     result.error = KnobError("bg_flow_bytes", entry);
     return result;
   }
+  result.error = AlphasError(spec.alphas, 1, entry);
+  if (!result.error.empty()) return result;
 
   BurstLabSpec run;
   run.scheme = scheme;
@@ -268,6 +280,8 @@ PointResult RunStar(const ScenarioInfo& entry, Scheme scheme, const PointSpec& s
     run.query_tc = 0;
     run.query_bytes = run.buffer_bytes * 2;
   }
+  result.error = AlphasError(run.alphas, run.queues_per_port, entry);
+  if (!result.error.empty()) return result;
   if (spec.bg_load > 0) run.bg_load = spec.bg_load;
   if (spec.query_bytes > 0) run.query_bytes = spec.query_bytes;
   if (spec.duration_ms > 0) {
@@ -319,6 +333,8 @@ PointResult RunFabricScenario(const ScenarioInfo& entry, Scheme scheme,
     result.error = KnobError("burst_bytes", entry);
     return result;
   }
+  result.error = AlphasError(spec.alphas, 1, entry);
+  if (!result.error.empty()) return result;
 
   FabricRunSpec run;
   run.scheme = scheme;

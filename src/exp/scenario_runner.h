@@ -45,7 +45,9 @@ struct PointSpec {
   // nullopt = fall back to OCCAMY_BENCH_SCALE (read once, at run start).
   std::optional<BenchScale> scale;
   double duration_ms = 0;      // 0 = scenario default
-  std::vector<double> alphas;  // per-class override; empty = scheme default
+  // Per-class alpha override: empty = scheme default, one value = that
+  // alpha for every class, else exactly one per class (checked by RunPoint).
+  std::vector<double> alphas;
 
   // Sweepable knobs; 0 = scenario default. Each knob only applies to some
   // platforms (validated in RunPoint, see KnobError):

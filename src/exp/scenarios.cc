@@ -11,6 +11,7 @@
 #include "src/bm/static_threshold.h"
 #include "src/bm/traffic_aware_dt.h"
 #include "src/core/occamy_bm.h"
+#include "src/util/check.h"
 #include "src/util/env.h"
 
 namespace occamy::exp {
@@ -67,16 +68,16 @@ net::BmSchemeFactory MakeFactory(Scheme s) {
   return nullptr;
 }
 
-void ApplyScheme(tm::TmConfig& tm, Scheme s, std::vector<double> alphas) {
-  if (alphas.empty()) {
-    alphas.assign(static_cast<size_t>(std::max(1, tm.queues_per_port)), DefaultAlpha(s));
-  }
-  tm.class_configs.clear();
-  for (size_t c = 0; c < alphas.size(); ++c) {
-    tm::TmQueueConfig qc;
-    qc.alpha = alphas[c];
-    qc.priority = static_cast<int>(c);
-    tm.class_configs.push_back(qc);
+void ApplyScheme(tm::TmConfig& tm, Scheme s, const std::vector<double>& alphas) {
+  const size_t classes = static_cast<size_t>(std::max(1, tm.queues_per_port));
+  OCCAMY_CHECK(alphas.size() <= 1 || alphas.size() == classes)
+      << alphas.size() << " alphas for " << classes << " traffic classes";
+  tm.class_configs.assign(classes, tm::TmQueueConfig{});
+  for (size_t c = 0; c < classes; ++c) {
+    tm.class_configs[c].alpha = alphas.empty()       ? DefaultAlpha(s)
+                                : alphas.size() == 1 ? alphas.front()
+                                                     : alphas[c];
+    tm.class_configs[c].priority = static_cast<int>(c);
   }
   tm.enable_expulsion =
       (s == Scheme::kOccamy || s == Scheme::kOccamyLongestDrop);

@@ -49,10 +49,12 @@ const char* SchemeName(Scheme s);
 double DefaultAlpha(Scheme s);
 net::BmSchemeFactory MakeFactory(Scheme s);
 
-// Applies scheme-specific TM settings: per-class alphas and (for Occamy)
-// the expulsion engine. `alphas` may be empty to use the scheme default for
-// every class.
-void ApplyScheme(tm::TmConfig& tm, Scheme s, std::vector<double> alphas = {});
+// Applies scheme-specific TM settings: one class config per queue of a
+// port (priority = class index, alpha from `alphas`) and, for Occamy, the
+// expulsion engine. `alphas` is empty (scheme default for every class), one
+// alpha broadcast to every class, or one alpha per class; any other length
+// CHECK-fails.
+void ApplyScheme(tm::TmConfig& tm, Scheme s, const std::vector<double>& alphas = {});
 
 // ---------------- scale and engine ----------------
 

@@ -27,8 +27,8 @@ struct SweepSpec {
   double duration_ms = 0;                  // 0 = scenario default
 
   // Sweep dimensions. An empty vector means "scenario default" (one grid
-  // element, no key field). `alphas` entries are a single alpha applied to
-  // every traffic class of the run.
+  // element, no key field). Each `alphas` entry is one alpha applied to
+  // every traffic class of the run (ApplyScheme broadcasts it).
   std::vector<double> alphas;
   std::vector<double> bg_loads;
   std::vector<int64_t> query_bytes;

@@ -285,13 +285,6 @@ class Network {
   // boundaries and stay byte-identical for any shard count.
   Time route_epoch_quantum() const { return ssim_->lookahead(); }
 
-  // Registers a sim-time drain fence with the engine's adaptive window
-  // planner: window batches never cross it, so a mailbox drain is
-  // guaranteed at the barrier entering its window. fault::FaultInjector::Arm
-  // fences every armed fault toggle and quantum-aligned route-epoch
-  // boundary.
-  void AddDrainFence(Time t) { ssim_->AddDrainFence(t); }
-
  private:
   // Shard that must execute the arrival of `pkt` at `to` at time `at`.
   int RxShardOf(LinkEnd to, const Packet& pkt, Time at) {

@@ -150,16 +150,6 @@ uint64_t ShardedSimulator::processed_events() const {
   return total;
 }
 
-void ShardedSimulator::AddDrainFence(Time t) {
-  OCCAMY_CHECK(!running()) << "AddDrainFence during a run";
-  const Time window_start = t <= 0 ? 0 : t - t % lookahead_;
-  const auto it =
-      std::lower_bound(drain_fences_.begin(), drain_fences_.end(), window_start);
-  if (it == drain_fences_.end() || *it != window_start) {
-    drain_fences_.insert(it, window_start);
-  }
-}
-
 ShardedSimulator::Plan ShardedSimulator::PlanBatch(Time until) {
   Plan plan;
   if (stop_requested_.load(std::memory_order_relaxed)) {
@@ -210,20 +200,13 @@ ShardedSimulator::Plan ShardedSimulator::PlanBatch(Time until) {
   const Time window_start = gm - gm % lookahead_;
   plan.bound = std::min(window_start + lookahead_ - 1, until);
   // Batch extent: k windows from the hopped-to start, clamped to the
-  // horizon and to the next drain fence. Every inner boundary drains, so
-  // any extent is sound; the extent only trades plan-round amortization
-  // against Stop()/fence responsiveness.
+  // horizon. Every inner boundary drains, so any extent is sound; the
+  // extent only trades plan-round amortization against Stop()
+  // responsiveness.
   const int k = window_batch_ > 0 ? window_batch_ : batch_limit_;
   plan.batch_end = until - window_start >= static_cast<Time>(k) * lookahead_
                        ? window_start + static_cast<Time>(k) * lookahead_ - 1
                        : until;
-  while (fence_cursor_ < drain_fences_.size() &&
-         drain_fences_[fence_cursor_] <= window_start) {
-    ++fence_cursor_;
-  }
-  if (fence_cursor_ < drain_fences_.size()) {
-    plan.batch_end = std::min(plan.batch_end, drain_fences_[fence_cursor_] - 1);
-  }
   plan.batch_end = std::max(plan.batch_end, plan.bound);
   plan.windows =
       static_cast<int>((plan.batch_end - window_start) / lookahead_) + 1;
@@ -279,7 +262,6 @@ uint64_t ShardedSimulator::RunUntil(Time until) {
   staged_seen_ = staged_probe_ ? staged_probe_() : 0;
   events_seen_ = events_before;
   windows_seen_ = 0;
-  fence_cursor_ = 0;
   // Record each shard's ownership for the duration of the run so that
   // OCCAMY_ASSERT_SHARD (src/sim/shard_checks.h) catches mis-pinned work
   // deterministically. Bound before the workers start and unbound after

@@ -37,12 +37,13 @@
 // then let the leader pick the next window — so a batched run executes
 // the byte-identical sequence of (window, drain) steps as batch=1; the
 // only things batching elides are the condvar parks and the per-window
-// plan work (policy feedback, fence scan, horizon checks). The leader
-// also hops windows with no events anywhere, which merges the empty and
-// sparse stretches the profiler showed dominate the star. Batches
-// truncate early only for Stop(); armed fault/route-epoch boundaries
-// register drain fences (AddDrainFence), and batches never cross one, so
-// every fault toggle still enters its window through a full plan round.
+// plan work (policy feedback, horizon checks). The leader also hops
+// windows with no events anywhere, which merges the empty and sparse
+// stretches the profiler showed dominate the star. Batches truncate early
+// only for Stop(). Fault toggles and route-epoch flips need no special
+// boundary: they are ordinary events on their owning shard, and the
+// inner-boundary drain and hop are exactly the planner's, so they see the
+// same (window, drain) schedule at every batch setting.
 // `--window-batch` selects the policy: 1 = legacy, N = fixed bound,
 // auto = the density- and mail-feedback policy described at
 // Options::window_batch.
@@ -146,14 +147,6 @@ class ShardedSimulator {
     staged_probe_ = std::move(probe);
   }
 
-  // Registers a drain fence at the window containing sim-time `t`: no
-  // window batch crosses it, so a mailbox drain is guaranteed at the
-  // barrier entering that window. fault::FaultInjector::Arm fences every
-  // armed fault toggle and quantum-aligned route-epoch boundary, keeping
-  // the drain schedule around fault boundaries identical at every batch
-  // setting. Must be called before RunUntil.
-  void AddDrainFence(Time t);
-
   // Runs every shard up to and including `until` (conservative windows with
   // barrier drains between them), or until all queues drain, or Stop().
   // Returns the total number of events processed by this call.
@@ -223,11 +216,6 @@ class ShardedSimulator {
   std::function<void(int)> barrier_drain_;
   // occamy-lint: allow(hot-path-indirection) barrier hook, not per-event
   std::function<uint64_t()> staged_probe_;
-
-  // Window starts that batches must not cross, sorted; fence_cursor_
-  // tracks the first fence not yet behind the planner.
-  std::vector<Time> drain_fences_;
-  size_t fence_cursor_ = 0;
 
   // Set by Stop(); read at barriers. Plain bool-behind-barrier would do for
   // the workers, but Stop() may also be called from outside the run loop.

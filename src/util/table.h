@@ -1,12 +1,13 @@
-// Fixed-width table printing for bench output (one bench per paper figure;
-// each prints the rows/series of that figure).
+// Fixed-width text tables: the one printer behind the paper-figure output
+// of `occamy_sim figure` (src/exp/figures.h) and the remaining benches.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-namespace occamy::bench {
+namespace occamy {
 
 class Table {
  public:
@@ -26,7 +27,9 @@ class Table {
     return out;
   }
 
-  void Print() const {
+  // Header, dashed separator, then the rows; every column is left-aligned
+  // and padded to its widest cell plus two spaces.
+  std::string Render() const {
     std::vector<size_t> width(headers_.size(), 0);
     for (size_t c = 0; c < headers_.size(); ++c) width[c] = headers_[c].size();
     for (const auto& row : rows_) {
@@ -34,31 +37,41 @@ class Table {
         width[c] = std::max(width[c], row[c].size());
       }
     }
-    PrintRow(headers_, width);
-    std::string sep;
-    for (size_t c = 0; c < width.size(); ++c) {
-      sep += std::string(width[c] + 2, '-');
-    }
-    std::printf("%s\n", sep.c_str());
-    for (const auto& row : rows_) PrintRow(row, width);
+    std::string out = RenderRow(headers_, width);
+    for (size_t c = 0; c < width.size(); ++c) out += std::string(width[c] + 2, '-');
+    out += '\n';
+    for (const auto& row : rows_) out += RenderRow(row, width);
+    return out;
+  }
+
+  void Print() const {
+    std::fputs(Render().c_str(), stdout);
     std::fflush(stdout);
   }
 
  private:
-  static void PrintRow(const std::vector<std::string>& cells,
-                       const std::vector<size_t>& width) {
+  static std::string RenderRow(const std::vector<std::string>& cells,
+                               const std::vector<size_t>& width) {
+    std::string out;
     for (size_t c = 0; c < cells.size(); ++c) {
-      std::printf("%-*s", static_cast<int>(width[c] + 2), cells[c].c_str());
+      out += cells[c];
+      // Cells past the header count have no width; they get the two
+      // separating spaces only.
+      const size_t w = c < width.size() ? width[c] : cells[c].size();
+      out += std::string(w + 2 - cells[c].size(), ' ');
     }
-    std::printf("\n");
+    out += '\n';
+    return out;
   }
 
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
 
+inline std::string TableHeader(const std::string& title) { return "\n=== " + title + " ===\n"; }
+
 inline void PrintHeader(const std::string& title) {
-  std::printf("\n=== %s ===\n", title.c_str());
+  std::fputs(TableHeader(title).c_str(), stdout);
 }
 
-}  // namespace occamy::bench
+}  // namespace occamy

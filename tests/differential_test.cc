@@ -169,9 +169,10 @@ TEST(DifferentialTest, FabricWindowBatchInvariant) {
   testing::ExpectWindowBatchInvariant(spec, {0, 4});
 }
 
-// Batching must also hold with faults armed: the drain fences registered at
-// Arm() keep every reroute/loss toggle on a barrier boundary, so the
-// faulted fingerprints stay byte-identical to the batch=1 schedule.
+// Batching must also hold with faults armed: reroute/loss toggles are
+// ordinary shard events, and every inner batch boundary drains and hops
+// exactly like a plan round, so the faulted fingerprints stay
+// byte-identical to the batch=1 schedule.
 TEST(DifferentialTest, FaultedWindowBatchInvariant) {
   exp::PointSpec spec = SmokePoint("burst_absorption", "occamy", 2);
   spec.shards = 2;

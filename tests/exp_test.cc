@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/exp/figures.h"
+#include "src/exp/platform_runs.h"
 #include "src/exp/sinks.h"
 #include "src/exp/sweep_runner.h"
 
@@ -207,22 +208,166 @@ TEST(AggregateTest, MeanAndP99AcrossSeeds) {
 }
 
 TEST(FigureRegistry, KnownFiguresExpand) {
-  EXPECT_GE(Figures().size(), 3u);
-  ASSERT_NE(FigureByName("fig12"), nullptr);
-  ASSERT_NE(FigureByName("fig13"), nullptr);
-  ASSERT_NE(FigureByName("fig18"), nullptr);
   EXPECT_EQ(FigureByName("fig99"), nullptr);
+  EXPECT_EQ(FigureNames().size(), Figures().size());
+  for (const FigureDef& figure : Figures()) {
+    SCOPED_TRACE(figure.name);
+    EXPECT_EQ(FigureByName(figure.name), &figure);
+    std::vector<SweepPoint> points;
+    const auto err = ExpandSweep(figure.make(), points);
+    ASSERT_FALSE(err.has_value()) << *err;
+    ASSERT_FALSE(points.empty());
+    ASSERT_FALSE(figure.tables.empty());
+    std::set<std::string> key_fields;
+    for (const auto& p : points) {
+      for (const auto& [k, v] : p.key_fields) key_fields.insert(k);
+    }
+    for (const FigureTable& table : figure.tables) {
+      EXPECT_EQ(key_fields.count(table.row), 1u) << table.title << " row " << table.row;
+      EXPECT_EQ(key_fields.count(table.col), 1u) << table.title << " col " << table.col;
+    }
+  }
 
-  // Fig. 12 grid: 2 schemes x 3 alphas x 6 burst sizes x 1 seed.
+  // Fig. 12 grid: 2 schemes x 3 alphas x 19 burst sizes (100..1900 KB).
   std::vector<SweepPoint> points;
   ASSERT_FALSE(ExpandSweep(FigureByName("fig12")->make(), points).has_value());
-  EXPECT_EQ(points.size(), 36u);
+  EXPECT_EQ(points.size(), 114u);
 
   // Fig. 13: 4 schemes x 7 query sizes; Fig. 18: 4 schemes x 5 flow sizes.
   ASSERT_FALSE(ExpandSweep(FigureByName("fig13")->make(), points).has_value());
   EXPECT_EQ(points.size(), 28u);
   ASSERT_FALSE(ExpandSweep(FigureByName("fig18")->make(), points).has_value());
   EXPECT_EQ(points.size(), 20u);
+}
+
+// Synthetic records for a 2 schemes x 2 alphas x 2 query sizes x 2 seeds
+// grid; qct_ms = query_kb + alpha + seed, so each cell's mean is
+// query_kb + alpha + 1.5.
+std::vector<RunRecord> SyntheticFigureRecords(const std::vector<SweepPoint>& points) {
+  std::vector<RunRecord> records;
+  for (const auto& p : points) {
+    RunRecord rec;
+    rec.point = p;
+    rec.ok = true;
+    rec.metrics.Set("seed", static_cast<int64_t>(p.spec.seed));
+    rec.metrics.Set("qct_ms", static_cast<double>(p.spec.query_bytes) / 1000 +
+                                  p.spec.alphas.front() +
+                                  static_cast<double>(p.spec.seed));
+    records.push_back(rec);
+  }
+  return records;
+}
+
+TEST(FigureRender, CellsAreSeedMeansAndGapsNameTheCell) {
+  SweepSpec spec;
+  spec.scenarios = {"incast"};
+  spec.bms = {"dt", "occamy"};
+  spec.alphas = {1.0, 2.0};
+  spec.query_bytes = {10000, 20000};
+  spec.seeds = 2;
+  std::vector<SweepPoint> points;
+  ASSERT_FALSE(ExpandSweep(spec, points).has_value());
+  ASSERT_EQ(points.size(), 16u);
+  const FigureDef figure{
+      "figT", "synthetic", nullptr, {{"QCT", "qct_ms", "query_bytes", "bm", "%.2f"}}};
+
+  std::vector<RunRecord> records = SyntheticFigureRecords(points);
+  std::string out;
+  auto err = RenderFigureTables(figure, points, Aggregate(records), out);
+  ASSERT_FALSE(err.has_value()) << *err;
+  // alpha varies and is neither row nor column: one table per alpha.
+  EXPECT_EQ(out,
+            "\n=== QCT [alpha=1] ===\n"
+            "query_bytes  dt     occamy  \n"
+            "----------------------------\n"
+            "10000        12.50  12.50   \n"
+            "20000        22.50  22.50   \n"
+            "\n=== QCT [alpha=2] ===\n"
+            "query_bytes  dt     occamy  \n"
+            "----------------------------\n"
+            "10000        13.50  13.50   \n"
+            "20000        23.50  23.50   \n");
+
+  // A failed seed fails its cell; the error names figure, row and column.
+  const std::string gap = "scenario=incast|bm=occamy|alpha=2|query_bytes=20000";
+  for (auto& rec : records) {
+    if (rec.point.cell_key == gap && rec.point.spec.seed == 2) rec.ok = false;
+  }
+  out.clear();
+  err = RenderFigureTables(figure, points, Aggregate(records), out);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("figT"), std::string::npos) << *err;
+  EXPECT_NE(err->find("alpha=2"), std::string::npos) << *err;
+  EXPECT_NE(err->find("row query_bytes=20000"), std::string::npos) << *err;
+  EXPECT_NE(err->find("column bm=occamy"), std::string::npos) << *err;
+  EXPECT_NE(err->find("failed"), std::string::npos) << *err;
+
+  // A cell with no records at all is missing, with the same coordinates.
+  std::vector<RunRecord> kept;
+  for (const auto& rec : records) {
+    if (rec.point.cell_key != gap) kept.push_back(rec);
+  }
+  err = RenderFigureTables(figure, points, Aggregate(kept), out);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("figT: no result at alpha=2, row query_bytes=20000, column bm=occamy"),
+            std::string::npos)
+      << *err;
+
+  // A row or column field that is not a key field of the grid is an error.
+  const FigureDef bad{"figB", "bad", nullptr, {{"T", "qct_ms", "bg_load", "bm", "%.2f"}}};
+  err = RenderFigureTables(bad, points, Aggregate(SyntheticFigureRecords(points)), out);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("bg_load is not a key field"), std::string::npos) << *err;
+}
+
+// A sweep's single alpha applies to every traffic class: on the two-class
+// isolation star it must match RunDpdk with that alpha on both classes.
+TEST(SweepAlphas, OneAlphaAppliesToEveryClass) {
+  SweepSpec spec;
+  spec.scenarios = {"isolation"};
+  spec.bms = {"dt"};
+  spec.alphas = {4.0};
+  spec.bg_loads = {0.5};
+  spec.query_bytes = {410 * 1000};
+  spec.scale = BenchScale::kSmoke;
+  spec.duration_ms = 5;
+  std::vector<SweepPoint> points;
+  ASSERT_FALSE(ExpandSweep(spec, points).has_value());
+  ASSERT_EQ(points.size(), 1u);
+  const PointResult point = RunPoint(points[0].spec);
+  ASSERT_TRUE(point.ok) << point.error;
+
+  DpdkRunSpec run;
+  run.scheme = Scheme::kDt;
+  run.alphas = {4.0, 4.0};
+  run.queues_per_port = 2;
+  run.scheduler = tm::SchedulerKind::kDrr;
+  run.bg = DpdkRunSpec::Bg::kWebSearchCubic;
+  run.bg_load = 0.5;
+  run.bg_tc = 1;
+  run.query_tc = 0;
+  run.query_bytes = 410 * 1000;
+  run.scale = BenchScale::kSmoke;
+  run.duration = run.max_duration = Milliseconds(5);
+  run.min_queries = 0;
+  const DpdkRunResult direct = RunDpdk(run);
+  const Metrics& m = point.metrics;
+  EXPECT_EQ(m.Number("qct_avg_ms"), direct.qct_avg_ms);
+  EXPECT_EQ(m.Number("qct_p99_ms"), direct.qct_p99_ms);
+  EXPECT_EQ(m.Number("fct_avg_ms"), direct.fct_avg_ms);
+  EXPECT_EQ(m.Number("drops"), static_cast<double>(direct.drops));
+  EXPECT_EQ(m.Number("sim_events"), static_cast<double>(direct.sim_events));
+  EXPECT_EQ(m.Number("delivered_bytes"), static_cast<double>(direct.delivered_bytes));
+
+  // One alpha per class is accepted too; any other length is rejected.
+  PointSpec two = points[0].spec;
+  two.alphas = {4.0, 4.0};
+  EXPECT_TRUE(RunPoint(two).ok);
+  PointSpec three = points[0].spec;
+  three.alphas = {4.0, 4.0, 4.0};
+  const PointResult rejected = RunPoint(three);
+  EXPECT_FALSE(rejected.ok);
+  EXPECT_NE(rejected.error.find("3 alphas"), std::string::npos) << rejected.error;
 }
 
 TEST(SweepDeterminism, RepeatedRunsAndJobCountsAreByteIdentical) {

@@ -301,33 +301,6 @@ TEST(ShardedSimTest, AdaptiveBatchingReducesBarrierRounds) {
   EXPECT_EQ(adaptive.executed, legacy.executed);
 }
 
-// A drain fence at every window start forces the planner back to the
-// legacy schedule: no batch may cross a fence, so barrier rounds match
-// batch=1 exactly. This is the alignment guarantee fault toggles rely on.
-TEST(ShardedSimTest, DrainFencesForceBarrierRounds) {
-  static constexpr int kBusyWindows = 32;
-  const auto run = [](int window_batch, bool fences) {
-    sim::ShardedSimulator ssim(EngineOptions(2, true, window_batch));
-    if (fences) {
-      for (int w = 0; w < kBusyWindows; ++w) {
-        ssim.AddDrainFence(static_cast<Time>(w) * kLookahead);
-      }
-    }
-    int ran = 0;
-    for (int w = 0; w < kBusyWindows; ++w) {
-      ssim.shard(w % 2).At(static_cast<Time>(w) * kLookahead + 1,
-                           [&ran] { ++ran; });
-    }
-    ssim.RunUntil(static_cast<Time>(kBusyWindows) * kLookahead);
-    EXPECT_EQ(ran, kBusyWindows);
-    return ssim.windows_run();
-  };
-
-  const uint64_t legacy_rounds = run(1, false);
-  EXPECT_EQ(run(16, true), legacy_rounds);   // fenced: batching disabled
-  EXPECT_LT(run(16, false), legacy_rounds);  // unfenced: batching engages
-}
-
 // Stop() inside a k-window batch halts at the *current* window's barrier —
 // an event two windows later (well inside the armed batch) on another
 // shard must never run, exactly as in the unbatched engine.

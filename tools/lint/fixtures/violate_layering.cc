@@ -4,7 +4,7 @@
 // examples/ only the tests/ include is: those may use bench/common and src/.
 #include <cstdint>
 
-#include "bench/common/table.h"
+#include "bench/common/parallel_gate.h"
 #include "src/util/time.h"
 #include "tests/fakes.h"
 

@@ -207,7 +207,8 @@ std::string UsageString() {
          "  --scale=<s>         smoke | default | full (default: OCCAMY_BENCH_SCALE)\n"
          "  --seed=<n>          RNG seed (default: 1)\n"
          "  --duration-ms=<ms>  traffic duration override (default: scenario-specific)\n"
-         "  --alphas=<a,b,...>  per-class alpha override (default: scheme-specific)\n"
+         "  --alphas=<a,b,...>  alpha override: one for every traffic class, or one\n"
+         "                      per class (default: scheme-specific)\n"
          "  --shards=<n>        engine shards, 1..64 (default: 1; fabric: node-\n"
          "                      affinity sharding; star/p4: intra-switch partition\n"
          "                      sharding; byte-identical metrics for any n)\n"

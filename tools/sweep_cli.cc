@@ -75,9 +75,12 @@ std::optional<std::string> ParseDurationMs(const std::string& value, double& out
 }
 
 // Runs an expanded grid, streams progress to stderr, writes runs.jsonl and
-// summary.csv under `out_dir`. Shared by SweepMain and FigureMain.
+// summary.csv under `out_dir`. Shared by SweepMain and FigureMain; a
+// non-null `figure` also prints its tables on stdout, and a missing or
+// failed table cell fails the run.
 int RunAndEmit(const std::vector<exp::SweepPoint>& points, int jobs,
-               const std::string& out_dir, const char* label) {
+               const std::string& out_dir, const char* label,
+               const exp::FigureDef* figure = nullptr) {
   std::error_code ec;
   std::filesystem::create_directories(out_dir, ec);
   if (ec) {
@@ -113,19 +116,30 @@ int RunAndEmit(const std::vector<exp::SweepPoint>& points, int jobs,
     }
     exp::WriteJsonl(records, out);
   }
+  const std::vector<exp::CellSummary> cells = exp::Aggregate(records);
   {
     std::ofstream out(csv_path);
     if (!out) {
       std::fprintf(stderr, "occamy_sim %s: cannot write %s\n", label, csv_path.c_str());
       return 1;
     }
-    exp::WriteSummaryCsv(exp::Aggregate(records), out);
+    exp::WriteSummaryCsv(cells, out);
   }
 
-  // stderr like every other progress line: stdout stays pure machine
-  // output so `occamy_sim sweep ... > pipe` composes.
+  // stderr like every other progress line: stdout carries only the figure
+  // tables, so `occamy_sim figure ... > fig.txt` captures just them.
   std::fprintf(stderr, "occamy_sim %s: %zu runs (%zu failed) -> %s, %s\n", label,
                records.size(), failed, jsonl_path.c_str(), csv_path.c_str());
+  if (figure != nullptr) {
+    std::string tables;
+    const auto err = exp::RenderFigureTables(*figure, points, cells, tables);
+    std::fputs(tables.c_str(), stdout);
+    std::fflush(stdout);
+    if (err.has_value()) {
+      std::fprintf(stderr, "occamy_sim %s: %s\n", label, err->c_str());
+      return 1;
+    }
+  }
   return failed == 0 ? 0 : 1;
 }
 
@@ -172,8 +186,10 @@ std::string FigureUsageString() {
   std::ostringstream out;
   out << "Usage: occamy_sim figure --name=<fig> [options]\n"
          "\n"
-         "Runs a registered paper-figure grid through the sweep engine and\n"
-         "writes runs.jsonl + summary.csv (one row per scheme x cell).\n"
+         "Runs a registered paper-figure grid through the sweep engine,\n"
+         "writes runs.jsonl + summary.csv (one row per scheme x cell), and\n"
+         "prints the figure's tables on stdout: each cell is the mean over\n"
+         "--seeds runs. A missing or failed cell exits 1.\n"
          "\n"
          "Options:\n"
          "  --name=<fig>        figure to reproduce; see --list\n"
@@ -348,7 +364,7 @@ int FigureMain(int argc, const char* const* argv) {
   }
   const std::string out_dir =
       options.out_dir.empty() ? "figure_" + options.name : options.out_dir;
-  return RunAndEmit(points, options.jobs, out_dir, "figure");
+  return RunAndEmit(points, options.jobs, out_dir, "figure", figure);
 }
 
 }  // namespace occamy::cli
